@@ -185,9 +185,11 @@ buildAppResources(const AppSpec &spec)
 ActivityFactory
 makeAppFactory(const AppSpec &spec, const BuiltApp &built)
 {
+    // One spec per install, shared by every relaunched instance.
+    auto shared = std::make_shared<const AppSpec>(spec);
     const ResourceId layout = built.main_layout;
-    return [spec, layout]() -> std::unique_ptr<Activity> {
-        return std::make_unique<SimulatedApp>(spec, layout);
+    return [shared, layout]() -> std::unique_ptr<Activity> {
+        return std::make_unique<SimulatedApp>(shared, layout);
     };
 }
 

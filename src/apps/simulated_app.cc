@@ -8,8 +8,9 @@
 
 namespace rchdroid::apps {
 
-SimulatedApp::SimulatedApp(AppSpec spec, ResourceId main_layout)
-    : Activity(spec.component()),
+SimulatedApp::SimulatedApp(std::shared_ptr<const AppSpec> spec,
+                           ResourceId main_layout)
+    : Activity(spec->component()),
       spec_(std::move(spec)),
       main_layout_(main_layout)
 {
@@ -19,24 +20,24 @@ void
 SimulatedApp::onCreate(const Bundle *saved_state)
 {
     (void)saved_state;
-    chargeCpu(spec_.app_create_cost);
+    chargeCpu(spec_->app_create_cost);
     setContentView(main_layout_);
-    setPrivateHeapBytes(spec_.private_heap_bytes);
+    setPrivateHeapBytes(spec_->private_heap_bytes);
 
     if (auto *btn = findViewByIdAs<Button>("btn")) {
         btn->setOnClickListener([this] {
-            if (spec_.async.trigger == AsyncTrigger::OnButtonClick)
+            if (spec_->async.trigger == AsyncTrigger::OnButtonClick)
                 startAsyncUpdate();
         });
     }
-    if (spec_.async.trigger == AsyncTrigger::OnCreate)
+    if (spec_->async.trigger == AsyncTrigger::OnCreate)
         startAsyncUpdate();
 }
 
 void
 SimulatedApp::onStop()
 {
-    if (spec_.async.cancels_on_stop) {
+    if (spec_->async.cancels_on_stop) {
         for (auto &weak_task : tasks_) {
             if (auto task = weak_task.lock())
                 task->cancel();
@@ -49,7 +50,7 @@ SimulatedApp::onSaveInstanceState(Bundle &out_state)
 {
     // Only the disciplined apps persist their custom state; the paper's
     // unfixable cases are exactly the apps that do not.
-    if (spec_.implements_on_save)
+    if (spec_->implements_on_save)
         out_state.putInt("custom_value", custom_value_);
 }
 
@@ -64,8 +65,8 @@ void
 SimulatedApp::onConfigurationChanged(const Configuration &config)
 {
     (void)config;
-    chargeCpu(spec_.app_config_cost);
-    if (spec_.runtimedroid_patched)
+    chargeCpu(spec_->app_config_cost);
+    if (spec_->runtimedroid_patched)
         hotReload();
 }
 
@@ -76,13 +77,13 @@ SimulatedApp::hotReload()
     // the content under the new configuration (resources re-resolve
     // through the inflater), thaw everything back. The framework never
     // sees a restart.
-    chargeCpu(spec_.hot_reload_cost);
+    chargeCpu(spec_->hot_reload_cost);
     Bundle frozen = saveInstanceStateNow(/*full=*/true);
-    chargeCpu(spec_.app_create_cost); // the app's own UI-build logic
+    chargeCpu(spec_->app_create_cost); // the app's own UI-build logic
     setContentView(main_layout_);
     if (auto *btn = findViewByIdAs<Button>("btn")) {
         btn->setOnClickListener([this] {
-            if (spec_.async.trigger == AsyncTrigger::OnButtonClick)
+            if (spec_->async.trigger == AsyncTrigger::OnButtonClick)
                 startAsyncUpdate();
         });
     }
@@ -117,7 +118,7 @@ SimulatedApp::startAsyncUpdate()
     std::vector<std::string> target_ids;
     window().decorView().visit([&](View &v) {
         if (auto *image = dynamic_cast<ImageView *>(&v)) {
-            if (spec_.runtimedroid_patched)
+            if (spec_->runtimedroid_patched)
                 target_ids.push_back(image->id());
             else
                 targets.push_back(image);
@@ -125,16 +126,16 @@ SimulatedApp::startAsyncUpdate()
     });
 
     auto task = std::make_shared<AsyncTask>(
-        *thread, self, spec_.name + "#task" + std::to_string(tasks_started_));
+        *thread, self, spec_->name + "#task" + std::to_string(tasks_started_));
     tasks_.push_back(task);
     ++tasks_started_;
 
-    const int edge = spec_.image_edge_px;
-    const bool shows_dialog = spec_.async.shows_dialog;
+    const int edge = spec_->image_edge_px;
+    const bool shows_dialog = spec_->async.shows_dialog;
     // `self` keeps this instance reachable, as the Java reference would;
     // `this` is therefore safe to use inside the callback.
     task->execute(
-        spec_.async.duration,
+        spec_->async.duration,
         [this, self, targets, target_ids, edge, shows_dialog] {
             int seq = 0;
             for (ImageView *image : targets) {
@@ -159,7 +160,7 @@ SimulatedApp::startAsyncUpdate()
                 dialogs_.push_back(std::move(dialog));
             }
         },
-        spec_.async.ui_cost);
+        spec_->async.ui_cost);
 }
 
 int

@@ -29,9 +29,10 @@ namespace rchdroid::apps {
 class SimulatedApp final : public Activity
 {
   public:
-    SimulatedApp(AppSpec spec, ResourceId main_layout);
+    /** @param spec Shared by every instance of one installed app. */
+    SimulatedApp(std::shared_ptr<const AppSpec> spec, ResourceId main_layout);
 
-    const AppSpec &spec() const { return spec_; }
+    const AppSpec &spec() const { return *spec_; }
 
     /** @name App-private state (CriticalState::CustomVariable)
      * @{
@@ -63,7 +64,7 @@ class SimulatedApp final : public Activity
     /** The RuntimeDroid patch body: rebuild content in place. */
     void hotReload();
 
-    AppSpec spec_;
+    std::shared_ptr<const AppSpec> spec_;
     ResourceId main_layout_;
     int custom_value_ = 0;
     int tasks_started_ = 0;

@@ -80,10 +80,17 @@ ScopedLogSilencer::~ScopedLogSilencer()
     writeQuiet(previous_);
 }
 
+bool
+logEnabled(LogLevel level)
+{
+    return !readQuiet() &&
+           level >= g_min_level.load(std::memory_order_relaxed);
+}
+
 void
 logMessage(LogLevel level, const std::string &tag, const std::string &text)
 {
-    if (readQuiet() || level < g_min_level.load(std::memory_order_relaxed))
+    if (!logEnabled(level))
         return;
     std::fprintf(stderr, "%s/%s: %s\n", levelTag(level), tag.c_str(),
                  text.c_str());

@@ -58,6 +58,9 @@ class ScopedLogSilencer
     bool previous_;
 };
 
+/** True when a record at `level` would be emitted on this thread. */
+bool logEnabled(LogLevel level);
+
 /** Emit one log record (implementation detail of the macros below). */
 void logMessage(LogLevel level, const std::string &tag, const std::string &text);
 
@@ -83,25 +86,34 @@ concatLog(Args &&...args)
 
 } // namespace rchdroid
 
+/**
+ * Log at `level` with a logcat-style tag. The stream arguments are only
+ * formatted when the level is enabled, so a filtered record costs one
+ * check.
+ */
+#define RCH_LOG_AT(level, tag, ...) \
+    do { \
+        if (::rchdroid::logEnabled(level)) { \
+            ::rchdroid::logMessage((level), (tag), \
+                                   ::rchdroid::detail::concatLog(__VA_ARGS__)); \
+        } \
+    } while (false)
+
 /** Log at Debug level with a logcat-style tag. */
 #define RCH_LOGD(tag, ...) \
-    ::rchdroid::logMessage(::rchdroid::LogLevel::Debug, (tag), \
-                           ::rchdroid::detail::concatLog(__VA_ARGS__))
+    RCH_LOG_AT(::rchdroid::LogLevel::Debug, tag, __VA_ARGS__)
 
 /** Log at Info level with a logcat-style tag. */
 #define RCH_LOGI(tag, ...) \
-    ::rchdroid::logMessage(::rchdroid::LogLevel::Info, (tag), \
-                           ::rchdroid::detail::concatLog(__VA_ARGS__))
+    RCH_LOG_AT(::rchdroid::LogLevel::Info, tag, __VA_ARGS__)
 
 /** Log at Warn level with a logcat-style tag. */
 #define RCH_LOGW(tag, ...) \
-    ::rchdroid::logMessage(::rchdroid::LogLevel::Warn, (tag), \
-                           ::rchdroid::detail::concatLog(__VA_ARGS__))
+    RCH_LOG_AT(::rchdroid::LogLevel::Warn, tag, __VA_ARGS__)
 
 /** Log at Error level with a logcat-style tag. */
 #define RCH_LOGE(tag, ...) \
-    ::rchdroid::logMessage(::rchdroid::LogLevel::Error, (tag), \
-                           ::rchdroid::detail::concatLog(__VA_ARGS__))
+    RCH_LOG_AT(::rchdroid::LogLevel::Error, tag, __VA_ARGS__)
 
 /** Abort: something happened that must never happen (simulator bug). */
 #define RCH_PANIC(...) \

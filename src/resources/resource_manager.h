@@ -7,7 +7,8 @@
  * its looper; drawables decode proportionally to their pixel count,
  * layouts parse proportionally to node count. These costs are what make
  * an activity restart expensive — and what RCHDroid's flip path avoids
- * re-paying.
+ * re-paying. The layout cost models the device re-parsing the layout on
+ * every load, although the simulator compiles it only once.
  */
 #ifndef RCHDROID_RESOURCES_RESOURCE_MANAGER_H
 #define RCHDROID_RESOURCES_RESOURCE_MANAGER_H
@@ -80,8 +81,9 @@ class ResourceManager
                                            const Configuration &config);
     Result<Loaded<DrawableValue>> loadDrawable(ResourceId id,
                                                const Configuration &config);
-    Result<Loaded<LayoutValue>> loadLayout(ResourceId id,
-                                           const Configuration &config);
+    /** The compiled layout stays owned by the table. */
+    Result<Loaded<LayoutRef>> loadLayout(ResourceId id,
+                                         const Configuration &config);
     Result<Loaded<DimensionValue>> loadDimension(ResourceId id,
                                                  const Configuration &config);
     /** @} */

@@ -1,9 +1,13 @@
 #include "resources/resource_table.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <iterator>
 #include <sstream>
+#include <utility>
 
 #include "platform/logging.h"
+#include "platform/strings.h"
 
 namespace rchdroid {
 
@@ -92,6 +96,160 @@ LayoutNode::countNodes() const
     return n;
 }
 
+namespace {
+
+/** Element names of the builtin kinds, in ViewKind order. */
+constexpr const char *kViewKindNames[] = {
+    "View",        "ViewGroup",   "LinearLayout", "FrameLayout",
+    "ScrollView",  "TextView",    "Button",       "EditText",
+    "CheckBox",    "ImageView",   "ProgressBar",  "SeekBar",
+    "ListView",    "GridView",    "AbsListView",  "VideoView",
+    "Spinner",     "Switch",      "RatingBar",
+};
+static_assert(std::size(kViewKindNames) ==
+                  static_cast<std::size_t>(ViewKind::Custom),
+              "one name per builtin kind");
+
+const std::string *
+findAttr(const LayoutNode &node, const char *key)
+{
+    auto it = node.attrs.find(key);
+    return it != node.attrs.end() ? &it->second : nullptr;
+}
+
+bool
+attrEquals(const LayoutNode &node, const char *key, const char *expected)
+{
+    const std::string *value = findAttr(node, key);
+    return value && *value == expected;
+}
+
+int
+intAttr(const LayoutNode &node, const char *key, int fallback)
+{
+    const std::string *value = findAttr(node, key);
+    return value ? std::atoi(value->c_str()) : fallback;
+}
+
+} // namespace
+
+ViewKind
+viewKindForElement(const std::string &element)
+{
+    for (std::size_t i = 0; i < std::size(kViewKindNames); ++i) {
+        if (element == kViewKindNames[i])
+            return static_cast<ViewKind>(i);
+    }
+    return ViewKind::Custom;
+}
+
+const char *
+viewKindName(ViewKind kind)
+{
+    const auto index = static_cast<std::size_t>(kind);
+    return index < std::size(kViewKindNames) ? kViewKindNames[index] : "";
+}
+
+CompiledLayout
+ResourceTable::compileLayout(const LayoutNode &root) const
+{
+    CompiledLayout layout;
+    layout.nodes.reserve(static_cast<std::size_t>(root.countNodes()));
+    compileNode(root, layout);
+    return layout;
+}
+
+CompiledValue
+ResourceTable::compileValue(const LayoutNode &node, const char *attr,
+                            ResourceType type) const
+{
+    CompiledValue out;
+    const std::string *raw = findAttr(node, attr);
+    if (!raw)
+        return out;
+    const std::string prefix =
+        type == ResourceType::String ? "@string/" : "@drawable/";
+    if (!startsWith(*raw, prefix)) {
+        out.source = CompiledValue::Source::Literal;
+        out.text = *raw;
+        return out;
+    }
+    out.source = CompiledValue::Source::Reference;
+    std::string name = raw->substr(prefix.size());
+    if (auto id = idForName(type, name))
+        out.id = id.value();
+    else
+        out.text = std::move(name);
+    return out;
+}
+
+void
+ResourceTable::compileNode(const LayoutNode &node, CompiledLayout &out) const
+{
+    CompiledNode compiled;
+    compiled.kind = viewKindForElement(node.element);
+    compiled.child_count = static_cast<int>(node.children.size());
+    if (const std::string *id = findAttr(node, "id"))
+        compiled.id = *id;
+
+    switch (compiled.kind) {
+      case ViewKind::LinearLayout:
+        compiled.horizontal = attrEquals(node, "orientation", "horizontal");
+        break;
+      case ViewKind::TextView:
+      case ViewKind::Button:
+      case ViewKind::EditText:
+      case ViewKind::CheckBox:
+      case ViewKind::Switch:
+        compiled.value = compileValue(node, "text", ResourceType::String);
+        if (compiled.kind == ViewKind::EditText)
+            compiled.hint = compileValue(node, "hint", ResourceType::String);
+        if (compiled.kind == ViewKind::CheckBox ||
+            compiled.kind == ViewKind::Switch)
+            compiled.checked = attrEquals(node, "checked", "true");
+        break;
+      case ViewKind::ImageView:
+        compiled.value = compileValue(node, "src", ResourceType::Drawable);
+        break;
+      case ViewKind::ProgressBar:
+      case ViewKind::SeekBar:
+        compiled.max = intAttr(node, "max", 100);
+        compiled.progress = intAttr(node, "progress", 0);
+        break;
+      case ViewKind::RatingBar:
+        compiled.stars = intAttr(node, "stars", 5);
+        compiled.rating = intAttr(node, "rating", 0);
+        break;
+      case ViewKind::GridView:
+        compiled.columns = intAttr(node, "columns", 2);
+        [[fallthrough]];
+      case ViewKind::ListView:
+      case ViewKind::AbsListView:
+      case ViewKind::Spinner:
+        compiled.value = compileValue(node, "items", ResourceType::String);
+        if (compiled.value.source == CompiledValue::Source::Literal)
+            compiled.items =
+                splitString(std::exchange(compiled.value.text, {}), '|');
+        break;
+      case ViewKind::VideoView:
+        if (const std::string *video = findAttr(node, "video"))
+            compiled.value = {CompiledValue::Source::Literal, 0, *video};
+        break;
+      case ViewKind::Custom:
+        compiled.custom = std::make_shared<const CustomElement>(
+            CustomElement{node.element, node.attrs});
+        break;
+      case ViewKind::View:
+      case ViewKind::ViewGroup:
+      case ViewKind::FrameLayout:
+      case ViewKind::ScrollView:
+        break;
+    }
+    out.nodes.push_back(std::move(compiled));
+    for (const auto &child : node.children)
+        compileNode(child, out);
+}
+
 template <typename T>
 ResourceId
 ResourceTable::add(EntrySet<T> &set, ResourceType type,
@@ -111,9 +269,9 @@ ResourceTable::add(EntrySet<T> &set, ResourceType type,
 }
 
 template <typename T>
-Result<T>
-ResourceTable::resolve(const EntrySet<T> &set, ResourceId id,
-                       const Configuration &config) const
+Result<const T *>
+ResourceTable::find(const EntrySet<T> &set, ResourceId id,
+                    const Configuration &config) const
 {
     auto it = set.variants.find(id);
     if (it == set.variants.end())
@@ -131,7 +289,18 @@ ResourceTable::resolve(const EntrySet<T> &set, ResourceId id,
         return Status::notFound("no variant matches config " +
                                 config.toString());
     }
-    return best->value;
+    return &best->value;
+}
+
+template <typename T>
+Result<T>
+ResourceTable::resolve(const EntrySet<T> &set, ResourceId id,
+                       const Configuration &config) const
+{
+    auto found = find(set, id, config);
+    if (!found)
+        return found.status();
+    return *found.value();
 }
 
 ResourceId
@@ -152,10 +321,10 @@ ResourceTable::addDrawable(const std::string &name, ResourceQualifier qual,
 
 ResourceId
 ResourceTable::addLayout(const std::string &name, ResourceQualifier qual,
-                         LayoutValue value)
+                         const LayoutValue &value)
 {
     return add(layouts_, ResourceType::Layout, name, std::move(qual),
-               std::move(value));
+               compileLayout(value.root));
 }
 
 ResourceId
@@ -196,10 +365,13 @@ ResourceTable::resolveDrawable(ResourceId id,
     return resolve(drawables_, id, config);
 }
 
-Result<LayoutValue>
+Result<LayoutRef>
 ResourceTable::resolveLayout(ResourceId id, const Configuration &config) const
 {
-    return resolve(layouts_, id, config);
+    auto found = find(layouts_, id, config);
+    if (!found)
+        return found.status();
+    return LayoutRef(*found.value());
 }
 
 Result<DimensionValue>

@@ -12,7 +12,9 @@
 #define RCHDROID_RESOURCES_RESOURCE_TABLE_H
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -115,11 +117,122 @@ struct LayoutNode
     int countNodes() const;
 };
 
-/** A layout resource: a parsed element tree. */
+/** A layout resource as declared: a parsed element tree. */
 struct LayoutValue
 {
     LayoutNode root;
 };
+
+/**
+ * The widget an element names. Every builtin element has its own kind;
+ * any other element is Custom and is built by a registered factory.
+ */
+enum class ViewKind : std::uint8_t {
+    View,
+    ViewGroup,
+    LinearLayout,
+    FrameLayout,
+    ScrollView,
+    TextView,
+    Button,
+    EditText,
+    CheckBox,
+    ImageView,
+    ProgressBar,
+    SeekBar,
+    ListView,
+    GridView,
+    AbsListView,
+    VideoView,
+    Spinner,
+    Switch,
+    RatingBar,
+    Custom,
+};
+
+/** The builtin kind named `element`, or Custom. */
+ViewKind viewKindForElement(const std::string &element);
+
+/** The element name of a builtin kind ("" for Custom). */
+const char *viewKindName(ViewKind kind);
+
+/**
+ * A string-valued attribute ("text", "hint", "items", "src") compiled from
+ * its raw string: absent, a literal, or an "@string/" / "@drawable/"
+ * reference. A reference whose name was declared when the layout was
+ * compiled carries its id; otherwise it keeps the name, which is looked
+ * up at inflation so a late declaration still resolves.
+ */
+struct CompiledValue
+{
+    enum class Source : std::uint8_t { Absent, Literal, Reference };
+
+    Source source = Source::Absent;
+    /** Reference: the resolved id, or 0 when the name was undeclared. */
+    ResourceId id = 0;
+    /** Literal: the text. Reference with id 0: the resource name. */
+    std::string text;
+};
+
+/** A custom element's name and attributes, as its ViewFactory takes them. */
+struct CustomElement
+{
+    std::string element;
+    std::map<std::string, std::string> attrs;
+};
+
+/**
+ * One node of a compiled layout. Attributes are parsed into the typed
+ * fields the node's kind uses; the others keep their defaults.
+ */
+struct CompiledNode
+{
+    ViewKind kind = ViewKind::Custom;
+    /** LinearLayout: orientation="horizontal". */
+    bool horizontal = false;
+    /** CheckBox, Switch: checked="true". */
+    bool checked = false;
+    /** Direct children; they follow this node in pre-order. */
+    int child_count = 0;
+    /** ProgressBar, SeekBar. */
+    int max = 100;
+    int progress = 0;
+    /** RatingBar. */
+    int stars = 5;
+    int rating = 0;
+    /** GridView. */
+    int columns = 2;
+    std::string id;
+    /**
+     * The kind's content attribute: "text" (TextView family), "src"
+     * (ImageView), "items" (list family; a literal list is in `items`)
+     * or "video" (VideoView, always a literal).
+     */
+    CompiledValue value;
+    /** EditText: "hint". */
+    CompiledValue hint;
+    /** List family: a literal "items" value, already split at '|'. */
+    std::vector<std::string> items;
+    /** Custom kind only. */
+    std::shared_ptr<const CustomElement> custom;
+};
+
+/**
+ * A layout resource compiled once, when it is registered, into a flat
+ * pre-order node list, like aapt compiling res/layout XML to binary
+ * XML. Inflation walks the list without parsing attributes or looking
+ * up declared resource names.
+ */
+struct CompiledLayout
+{
+    std::vector<CompiledNode> nodes;
+
+    /** Total nodes, which the layout-parse cost is charged for. */
+    int nodeCount() const { return static_cast<int>(nodes.size()); }
+};
+
+/** A resolved layout variant, borrowed from its ResourceTable. */
+using LayoutRef = std::reference_wrapper<const CompiledLayout>;
 
 /** A dimension in pixels. */
 struct DimensionValue
@@ -144,8 +257,9 @@ class ResourceTable
                          StringValue value);
     ResourceId addDrawable(const std::string &name, ResourceQualifier qual,
                            DrawableValue value);
+    /** Compiles the layout (see compileLayout) and stores the result. */
     ResourceId addLayout(const std::string &name, ResourceQualifier qual,
-                         LayoutValue value);
+                         const LayoutValue &value);
     ResourceId addDimension(const std::string &name, ResourceQualifier qual,
                             DimensionValue value);
     /** @} */
@@ -153,6 +267,13 @@ class ResourceTable
     /** Resolve a declared name to its id. */
     Result<ResourceId> idForName(ResourceType type,
                                  const std::string &name) const;
+
+    /**
+     * Compile a layout tree against the names declared so far. Never
+     * fails: unknown elements and undeclared names are kept and reported
+     * by the inflater when it reaches them.
+     */
+    CompiledLayout compileLayout(const LayoutNode &root) const;
 
     /** @name Resolution under a configuration
      * Picks the most specific matching variant; NotFound when no variant
@@ -163,8 +284,9 @@ class ResourceTable
                                       const Configuration &config) const;
     Result<DrawableValue> resolveDrawable(ResourceId id,
                                           const Configuration &config) const;
-    Result<LayoutValue> resolveLayout(ResourceId id,
-                                      const Configuration &config) const;
+    /** The variant stays owned by the table; nothing is copied. */
+    Result<LayoutRef> resolveLayout(ResourceId id,
+                                    const Configuration &config) const;
     Result<DimensionValue> resolveDimension(ResourceId id,
                                             const Configuration &config) const;
     /** @} */
@@ -192,13 +314,22 @@ class ResourceTable
     ResourceId add(EntrySet<T> &set, ResourceType type,
                    const std::string &name, ResourceQualifier qual, T value);
 
+    /** The best-matching variant's value, owned by `set`. */
+    template <typename T>
+    Result<const T *> find(const EntrySet<T> &set, ResourceId id,
+                           const Configuration &config) const;
+
     template <typename T>
     Result<T> resolve(const EntrySet<T> &set, ResourceId id,
                       const Configuration &config) const;
 
+    void compileNode(const LayoutNode &node, CompiledLayout &out) const;
+    CompiledValue compileValue(const LayoutNode &node, const char *attr,
+                               ResourceType type) const;
+
     EntrySet<StringValue> strings_;
     EntrySet<DrawableValue> drawables_;
-    EntrySet<LayoutValue> layouts_;
+    EntrySet<CompiledLayout> layouts_;
     EntrySet<DimensionValue> dimensions_;
 };
 

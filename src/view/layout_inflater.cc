@@ -1,9 +1,7 @@
 #include "view/layout_inflater.h"
 
-#include <cstdlib>
 #include <utility>
 
-#include "platform/logging.h"
 #include "platform/strings.h"
 #include "view/extra_widgets.h"
 #include "view/image_view.h"
@@ -17,40 +15,12 @@ namespace rchdroid {
 
 namespace {
 
-const char *kBuiltinElements[] = {
-    "View",       "ViewGroup",  "LinearLayout", "FrameLayout",
-    "ScrollView", "TextView",   "Button",       "EditText",
-    "CheckBox",   "ImageView",  "ProgressBar",  "SeekBar",
-    "ListView",   "GridView",   "AbsListView",  "VideoView",
-    "Spinner",    "Switch",     "RatingBar",
-};
-
-bool
-isBuiltinElement(const std::string &element)
-{
-    for (const char *name : kBuiltinElements) {
-        if (element == name)
-            return true;
-    }
-    return false;
-}
-
+/** The element name a node was declared with, for error messages. */
 std::string
-attrOr(const std::map<std::string, std::string> &attrs,
-       const std::string &key, const std::string &fallback)
+elementName(const CompiledNode &node)
 {
-    auto it = attrs.find(key);
-    return it != attrs.end() ? it->second : fallback;
-}
-
-int
-attrInt(const std::map<std::string, std::string> &attrs,
-        const std::string &key, int fallback)
-{
-    auto it = attrs.find(key);
-    if (it == attrs.end())
-        return fallback;
-    return std::atoi(it->second.c_str());
+    return node.kind == ViewKind::Custom ? node.custom->element
+                                         : viewKindName(node.kind);
 }
 
 } // namespace
@@ -65,7 +35,7 @@ Status
 LayoutInflater::registerFactory(const std::string &element,
                                 ViewFactory factory)
 {
-    if (isBuiltinElement(element)) {
+    if (viewKindForElement(element) != ViewKind::Custom) {
         return Status::invalidArgument("cannot override builtin element " +
                                        element);
     }
@@ -81,7 +51,7 @@ LayoutInflater::inflate(ResourceId layout_id, const Configuration &config)
     auto layout = resources_.loadLayout(layout_id, config);
     if (!layout)
         return layout.status();
-    auto inflated = inflateNode(layout.value().value.root, config);
+    auto inflated = inflateCompiled(layout.value().value, config);
     if (!inflated)
         return inflated.status();
     inflated.value().cost += layout.value().cost;
@@ -91,165 +61,198 @@ LayoutInflater::inflate(ResourceId layout_id, const Configuration &config)
 Result<Loaded<std::unique_ptr<View>>>
 LayoutInflater::inflateNode(const LayoutNode &node, const Configuration &config)
 {
+    return inflateCompiled(resources_.table().compileLayout(node), config);
+}
+
+Result<Loaded<std::unique_ptr<View>>>
+LayoutInflater::inflateCompiled(const CompiledLayout &layout,
+                                const Configuration &config)
+{
     SimDuration cost = 0;
-    auto view = buildView(node, config, cost);
+    std::size_t at = 0;
+    auto view = buildSubtree(layout, at, config, cost);
     if (!view)
         return view.status();
     return Loaded<std::unique_ptr<View>>{std::move(view).value(), cost};
 }
 
-Result<std::string>
-LayoutInflater::resolveText(const std::string &raw, const Configuration &config,
-                            SimDuration &cost)
+LayoutInflater::ViewResult
+LayoutInflater::buildSubtree(const CompiledLayout &layout, std::size_t &at,
+                             const Configuration &config, SimDuration &cost)
 {
-    if (!startsWith(raw, "@string/"))
-        return raw;
-    const std::string name = raw.substr(8);
-    auto id = resources_.table().idForName(ResourceType::String, name);
+    const CompiledNode &node = layout.nodes[at++];
+    cost += per_node_inflate_cost_;
+    auto view = buildView(node, config, cost);
+    if (!view || node.child_count == 0)
+        return view;
+    auto *group = dynamic_cast<ViewGroup *>(view.value().get());
+    if (!group)
+        return Status::invalidArgument(elementName(node) +
+                                       " cannot have children");
+    group->reserveChildren(static_cast<std::size_t>(node.child_count));
+    for (int i = 0; i < node.child_count; ++i) {
+        auto child = buildSubtree(layout, at, config, cost);
+        if (!child)
+            return child.status();
+        group->addChild(std::move(child).value());
+    }
+    return view;
+}
+
+LayoutInflater::ViewResult
+LayoutInflater::buildView(const CompiledNode &node, const Configuration &config,
+                          SimDuration &cost)
+{
+    const std::string &id = node.id;
+    switch (node.kind) {
+      case ViewKind::View:
+        return ViewResult(std::make_unique<View>(id));
+      case ViewKind::ViewGroup:
+      case ViewKind::FrameLayout:
+        return ViewResult(std::make_unique<FrameLayout>(id));
+      case ViewKind::LinearLayout:
+        return ViewResult(std::make_unique<LinearLayout>(
+            id, node.horizontal ? LinearLayout::Direction::Horizontal
+                                : LinearLayout::Direction::Vertical));
+      case ViewKind::ScrollView:
+        return ViewResult(std::make_unique<ScrollView>(id));
+      case ViewKind::TextView:
+        return buildText(std::make_unique<TextView>(id), node, config, cost);
+      case ViewKind::Button:
+        return buildText(std::make_unique<Button>(id), node, config, cost);
+      case ViewKind::EditText:
+        return buildText(std::make_unique<EditText>(id), node, config, cost);
+      case ViewKind::CheckBox:
+        return buildText(std::make_unique<CheckBox>(id), node, config, cost);
+      case ViewKind::Switch:
+        return buildText(std::make_unique<Switch>(id), node, config, cost);
+      case ViewKind::ImageView: {
+        auto image = std::make_unique<ImageView>(id);
+        // Only a drawable reference sets an image; a literal is ignored.
+        if (node.value.source == CompiledValue::Source::Reference) {
+            auto drawable = referenceId(node.value, ResourceType::Drawable);
+            if (!drawable)
+                return drawable.status();
+            auto loaded = resources_.loadDrawable(drawable.value(), config);
+            if (!loaded)
+                return loaded.status();
+            cost += loaded.value().cost;
+            image->setDrawableFromResource(std::move(loaded).value().value);
+        }
+        return ViewResult(std::move(image));
+      }
+      case ViewKind::ProgressBar:
+      case ViewKind::SeekBar: {
+        std::unique_ptr<ProgressBar> bar;
+        if (node.kind == ViewKind::ProgressBar)
+            bar = std::make_unique<ProgressBar>(id);
+        else
+            bar = std::make_unique<SeekBar>(id);
+        bar->setMax(node.max);
+        bar->setProgress(node.progress);
+        return ViewResult(std::move(bar));
+      }
+      case ViewKind::RatingBar: {
+        auto rating = std::make_unique<RatingBar>(id, node.stars);
+        rating->setRating(node.rating);
+        return ViewResult(std::move(rating));
+      }
+      case ViewKind::ListView:
+        return buildList(std::make_unique<ListView>(id), node, config, cost);
+      case ViewKind::GridView:
+        return buildList(std::make_unique<GridView>(id, node.columns), node,
+                         config, cost);
+      case ViewKind::AbsListView:
+        return buildList(std::make_unique<AbsListView>(id), node, config,
+                         cost);
+      case ViewKind::Spinner:
+        return buildList(std::make_unique<Spinner>(id), node, config, cost);
+      case ViewKind::VideoView: {
+        auto video = std::make_unique<VideoView>(id);
+        if (!node.value.text.empty())
+            video->setVideoUri(node.value.text);
+        return ViewResult(std::move(video));
+      }
+      case ViewKind::Custom:
+        break;
+    }
+    const CustomElement &custom = *node.custom;
+    auto it = custom_factories_.find(custom.element);
+    if (it == custom_factories_.end())
+        return Status::notFound("unknown layout element " + custom.element);
+    auto view = it->second(id, custom.attrs);
+    if (!view)
+        return Status::internal("factory for " + custom.element +
+                                " returned null");
+    return ViewResult(std::move(view));
+}
+
+LayoutInflater::ViewResult
+LayoutInflater::buildText(std::unique_ptr<TextView> view,
+                          const CompiledNode &node,
+                          const Configuration &config, SimDuration &cost)
+{
+    if (node.value.source != CompiledValue::Source::Absent) {
+        auto text = resolveText(node.value, config, cost);
+        if (!text)
+            return text.status();
+        if (node.value.source == CompiledValue::Source::Reference)
+            view->setTextFromResource(std::move(text).value());
+        else
+            view->setText(std::move(text).value());
+    }
+    // Only EditText nodes compile a hint, and only CheckBox and Switch
+    // nodes a checked state.
+    if (node.hint.source != CompiledValue::Source::Absent) {
+        auto hint = resolveText(node.hint, config, cost);
+        if (!hint)
+            return hint.status();
+        static_cast<EditText &>(*view).setHint(std::move(hint).value());
+    }
+    if (node.checked)
+        static_cast<CheckBox &>(*view).setChecked(true);
+    return ViewResult(std::move(view));
+}
+
+LayoutInflater::ViewResult
+LayoutInflater::buildList(std::unique_ptr<AbsListView> view,
+                          const CompiledNode &node,
+                          const Configuration &config, SimDuration &cost)
+{
+    if (node.value.source == CompiledValue::Source::Reference) {
+        auto raw = resolveText(node.value, config, cost);
+        if (!raw)
+            return raw.status();
+        view->setItems(splitString(raw.value(), '|'));
+    } else if (node.value.source == CompiledValue::Source::Literal) {
+        view->setItems(node.items);
+    }
+    return ViewResult(std::move(view));
+}
+
+Result<ResourceId>
+LayoutInflater::referenceId(const CompiledValue &value,
+                            ResourceType type) const
+{
+    if (value.id != 0)
+        return value.id;
+    return resources_.table().idForName(type, value.text);
+}
+
+Result<std::string>
+LayoutInflater::resolveText(const CompiledValue &value,
+                            const Configuration &config, SimDuration &cost)
+{
+    if (value.source == CompiledValue::Source::Literal)
+        return value.text;
+    auto id = referenceId(value, ResourceType::String);
     if (!id)
         return id.status();
     auto loaded = resources_.loadString(id.value(), config);
     if (!loaded)
         return loaded.status();
     cost += loaded.value().cost;
-    return loaded.value().value.text;
-}
-
-Result<std::unique_ptr<View>>
-LayoutInflater::buildView(const LayoutNode &node, const Configuration &config,
-                          SimDuration &cost)
-{
-    cost += per_node_inflate_cost_;
-    const std::string id = attrOr(node.attrs, "id", "");
-    std::unique_ptr<View> view;
-
-    if (auto it = custom_factories_.find(node.element);
-        it != custom_factories_.end()) {
-        view = it->second(id, node.attrs);
-        if (!view)
-            return Status::internal("factory for " + node.element +
-                                    " returned null");
-    } else if (node.element == "View") {
-        view = std::make_unique<View>(id);
-    } else if (node.element == "ViewGroup" || node.element == "FrameLayout") {
-        view = std::make_unique<FrameLayout>(id);
-    } else if (node.element == "LinearLayout") {
-        const auto dir = attrOr(node.attrs, "orientation", "vertical");
-        view = std::make_unique<LinearLayout>(
-            id, dir == "horizontal" ? LinearLayout::Direction::Horizontal
-                                    : LinearLayout::Direction::Vertical);
-    } else if (node.element == "ScrollView") {
-        view = std::make_unique<ScrollView>(id);
-    } else if (node.element == "TextView" || node.element == "Button" ||
-               node.element == "EditText" || node.element == "CheckBox" ||
-               node.element == "Switch") {
-        std::unique_ptr<TextView> text_view;
-        if (node.element == "TextView")
-            text_view = std::make_unique<TextView>(id);
-        else if (node.element == "Button")
-            text_view = std::make_unique<Button>(id);
-        else if (node.element == "EditText")
-            text_view = std::make_unique<EditText>(id);
-        else if (node.element == "Switch")
-            text_view = std::make_unique<Switch>(id);
-        else
-            text_view = std::make_unique<CheckBox>(id);
-        if (auto it = node.attrs.find("text"); it != node.attrs.end()) {
-            auto text = resolveText(it->second, config, cost);
-            if (!text)
-                return text.status();
-            if (startsWith(it->second, "@string/")) {
-                text_view->setTextFromResource(std::move(text).value());
-            } else {
-                text_view->setText(std::move(text).value());
-            }
-        }
-        if (auto it = node.attrs.find("hint"); it != node.attrs.end()) {
-            if (auto *edit = dynamic_cast<EditText *>(text_view.get())) {
-                auto hint = resolveText(it->second, config, cost);
-                if (!hint)
-                    return hint.status();
-                edit->setHint(std::move(hint).value());
-            }
-        }
-        if (attrOr(node.attrs, "checked", "false") == "true") {
-            if (auto *box = dynamic_cast<CheckBox *>(text_view.get()))
-                box->setChecked(true);
-        }
-        view = std::move(text_view);
-    } else if (node.element == "ImageView") {
-        auto image = std::make_unique<ImageView>(id);
-        const std::string src = attrOr(node.attrs, "src", "");
-        if (startsWith(src, "@drawable/")) {
-            auto drawable_id = resources_.table().idForName(
-                ResourceType::Drawable, src.substr(10));
-            if (!drawable_id)
-                return drawable_id.status();
-            auto loaded = resources_.loadDrawable(drawable_id.value(), config);
-            if (!loaded)
-                return loaded.status();
-            cost += loaded.value().cost;
-            image->setDrawableFromResource(std::move(loaded).value().value);
-        }
-        view = std::move(image);
-    } else if (node.element == "ProgressBar" || node.element == "SeekBar") {
-        std::unique_ptr<ProgressBar> bar;
-        if (node.element == "ProgressBar")
-            bar = std::make_unique<ProgressBar>(id);
-        else
-            bar = std::make_unique<SeekBar>(id);
-        bar->setMax(attrInt(node.attrs, "max", 100));
-        bar->setProgress(attrInt(node.attrs, "progress", 0));
-        view = std::move(bar);
-    } else if (node.element == "RatingBar") {
-        auto rating = std::make_unique<RatingBar>(
-            id, attrInt(node.attrs, "stars", 5));
-        rating->setRating(attrInt(node.attrs, "rating", 0));
-        view = std::move(rating);
-    } else if (node.element == "ListView" || node.element == "GridView" ||
-               node.element == "AbsListView" || node.element == "Spinner") {
-        std::unique_ptr<AbsListView> list;
-        if (node.element == "GridView") {
-            list = std::make_unique<GridView>(
-                id, attrInt(node.attrs, "columns", 2));
-        } else if (node.element == "ListView") {
-            list = std::make_unique<ListView>(id);
-        } else if (node.element == "Spinner") {
-            list = std::make_unique<Spinner>(id);
-        } else {
-            list = std::make_unique<AbsListView>(id);
-        }
-        if (auto it = node.attrs.find("items"); it != node.attrs.end()) {
-            auto raw = resolveText(it->second, config, cost);
-            if (!raw)
-                return raw.status();
-            list->setItems(splitString(raw.value(), '|'));
-        }
-        view = std::move(list);
-    } else if (node.element == "VideoView") {
-        auto video = std::make_unique<VideoView>(id);
-        const std::string uri = attrOr(node.attrs, "video", "");
-        if (!uri.empty())
-            video->setVideoUri(uri);
-        view = std::move(video);
-    } else {
-        return Status::notFound("unknown layout element " + node.element);
-    }
-
-    if (!node.children.empty()) {
-        auto *group = dynamic_cast<ViewGroup *>(view.get());
-        if (!group) {
-            return Status::invalidArgument(node.element +
-                                           " cannot have children");
-        }
-        for (const auto &child_node : node.children) {
-            auto child = buildView(child_node, config, cost);
-            if (!child)
-                return child.status();
-            group->addChild(std::move(child).value());
-        }
-    }
-    return view;
+    return std::move(loaded).value().value.text;
 }
 
 } // namespace rchdroid

@@ -33,6 +33,9 @@ class ViewGroup : public View
     /** Append a child; the group takes ownership. */
     View &addChild(std::unique_ptr<View> child);
 
+    /** Make room for `count` children (an inflater knows the count). */
+    void reserveChildren(std::size_t count) { children_.reserve(count); }
+
     /** Remove (and destroy) the child at index. */
     void removeChildAt(std::size_t index);
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/app_builder.h"
+#include "apps/simulated_app.h"
 
 namespace rchdroid::apps {
 namespace {
@@ -132,6 +133,19 @@ TEST(AppBuilder, FactoryProducesSimulatedApp)
     auto activity = factory();
     ASSERT_NE(activity, nullptr);
     EXPECT_EQ(activity->component(), spec.component());
+}
+
+TEST(AppBuilder, RelaunchedInstancesShareOneSpec)
+{
+    const AppSpec spec = sampleSpec();
+    const BuiltApp built = buildAppResources(spec);
+    const auto factory = makeAppFactory(spec, built);
+    auto first = factory();
+    auto second = factory();
+    const auto &a = dynamic_cast<const SimulatedApp &>(*first);
+    const auto &b = dynamic_cast<const SimulatedApp &>(*second);
+    EXPECT_EQ(&a.spec(), &b.spec());
+    EXPECT_EQ(a.spec().name, "Sample");
 }
 
 } // namespace

@@ -1,10 +1,17 @@
 /**
  * @file
  * LayoutInflater: element construction, resource references, cost
- * accounting, custom factories.
+ * accounting, custom factories, error statuses, references declared
+ * after their layout, and an allocation gate on warm inflation.
  */
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
+
+#include "apps/app_builder.h"
+#include "apps/corpus.h"
+#include "sim/device_model.h"
 #include "view/image_view.h"
 #include "view/layout_inflater.h"
 #include "view/list_view.h"
@@ -13,6 +20,41 @@
 #include "view/video_view.h"
 #include "view/view_group.h"
 
+/** Heap allocations made through operator new by this test binary. */
+static std::size_t g_allocations = 0;
+
+// The replacements pair malloc with free; GCC cannot see that across
+// inlined call sites and warns.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+void *
+operator new(std::size_t size)
+{
+    ++g_allocations;
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
 namespace rchdroid {
 namespace {
 
@@ -20,7 +62,7 @@ struct InflaterFixture : ::testing::Test
 {
     InflaterFixture()
     {
-        auto table = std::make_shared<ResourceTable>();
+        table = std::make_shared<ResourceTable>();
         table->addString("hello", ResourceQualifier::any(),
                          StringValue{"Hello"});
         table->addString("hello", ResourceQualifier::forLocale("fr-FR"),
@@ -46,10 +88,20 @@ struct InflaterFixture : ::testing::Test
         costs.drawable_base_cost = microseconds(50);
         costs.drawable_per_kib = microseconds(1);
         costs.layout_per_node = microseconds(20);
-        resources.emplace(std::move(table), costs);
+        resources.emplace(table, costs);
         inflater.emplace(*resources, microseconds(100));
     }
 
+    /** Inflate a one-node layout and return its error status. */
+    Status
+    inflateError(LayoutNode node)
+    {
+        auto result = inflater->inflateNode(node, config);
+        EXPECT_FALSE(result.isOk()) << node.element;
+        return result.status();
+    }
+
+    std::shared_ptr<ResourceTable> table;
     ResourceId layout_id = 0;
     std::optional<ResourceManager> resources;
     std::optional<LayoutInflater> inflater;
@@ -161,6 +213,7 @@ TEST_F(InflaterFixture, UnknownElementFails)
     auto result = inflater->inflateNode(node, config);
     EXPECT_FALSE(result.isOk());
     EXPECT_EQ(result.status().code(), StatusCode::NotFound);
+    EXPECT_EQ(result.status().message(), "unknown layout element FancyWidget");
 }
 
 TEST_F(InflaterFixture, LeafWithChildrenFails)
@@ -173,6 +226,7 @@ TEST_F(InflaterFixture, LeafWithChildrenFails)
     auto result = inflater->inflateNode(node, config);
     EXPECT_FALSE(result.isOk());
     EXPECT_EQ(result.status().code(), StatusCode::InvalidArgument);
+    EXPECT_EQ(result.status().message(), "TextView cannot have children");
 }
 
 TEST_F(InflaterFixture, MissingStringReferenceFails)
@@ -180,7 +234,29 @@ TEST_F(InflaterFixture, MissingStringReferenceFails)
     LayoutNode node;
     node.element = "TextView";
     node.attrs = {{"text", "@string/nope"}};
-    EXPECT_FALSE(inflater->inflateNode(node, config));
+    EXPECT_EQ(inflateError(node).toString(),
+              "NotFound: no resource named nope");
+}
+
+TEST_F(InflaterFixture, MissingHintItemsAndDrawableReferencesFail)
+{
+    LayoutNode hint;
+    hint.element = "EditText";
+    hint.attrs = {{"text", "ok"}, {"hint", "@string/nohint"}};
+    EXPECT_EQ(inflateError(hint).toString(),
+              "NotFound: no resource named nohint");
+
+    LayoutNode items;
+    items.element = "Spinner";
+    items.attrs = {{"items", "@string/noitems"}};
+    EXPECT_EQ(inflateError(items).toString(),
+              "NotFound: no resource named noitems");
+
+    LayoutNode image;
+    image.element = "ImageView";
+    image.attrs = {{"src", "@drawable/nopic"}};
+    EXPECT_EQ(inflateError(image).toString(),
+              "NotFound: no resource named nopic");
 }
 
 TEST_F(InflaterFixture, CustomFactoryBuildsUserDefinedView)
@@ -209,12 +285,123 @@ TEST_F(InflaterFixture, CustomFactoryBuildsUserDefinedView)
 
 TEST_F(InflaterFixture, CannotOverrideBuiltins)
 {
-    const auto status = inflater->registerFactory(
-        "TextView", [](const std::string &id, const auto &) {
-            return std::make_unique<TextView>(id);
-        });
-    EXPECT_FALSE(status.isOk());
-    EXPECT_EQ(status.code(), StatusCode::InvalidArgument);
+    for (const char *element :
+         {"View", "ViewGroup", "LinearLayout", "FrameLayout", "ScrollView",
+          "TextView", "Button", "EditText", "CheckBox", "ImageView",
+          "ProgressBar", "SeekBar", "ListView", "GridView", "AbsListView",
+          "VideoView", "Spinner", "Switch", "RatingBar"}) {
+        const auto status = inflater->registerFactory(
+            element, [](const std::string &id, const auto &) {
+                return std::make_unique<TextView>(id);
+            });
+        EXPECT_EQ(status.code(), StatusCode::InvalidArgument) << element;
+        EXPECT_EQ(status.message(),
+                  std::string("cannot override builtin element ") + element);
+    }
+}
+
+TEST_F(InflaterFixture, FactoryReturningNullFails)
+{
+    ASSERT_TRUE(inflater->registerFactory(
+        "Broken", [](const std::string &, const auto &) {
+            return std::unique_ptr<View>();
+        }));
+    LayoutNode broken;
+    broken.element = "Broken";
+    EXPECT_EQ(inflateError(broken).toString(),
+              "Internal: factory for Broken returned null");
+}
+
+TEST_F(InflaterFixture, FirstFailingNodeInPreOrderWins)
+{
+    // The node's own references fail before its children are checked,
+    // and an earlier sibling's subtree fails before a later sibling.
+    LayoutNode leaf;
+    leaf.element = "TextView";
+    leaf.attrs = {{"text", "@string/first"}};
+    leaf.children.push_back(LayoutNode{"View", {}, {}});
+    LayoutNode later;
+    later.element = "ImageView";
+    later.attrs = {{"src", "@drawable/second"}};
+    LayoutNode root;
+    root.element = "LinearLayout";
+    root.children = {LayoutNode{"FrameLayout", {}, {leaf}}, later};
+    EXPECT_EQ(inflateError(root).toString(),
+              "NotFound: no resource named first");
+}
+
+TEST_F(InflaterFixture, RegisteredLayoutFailsAtTheMissingReference)
+{
+    LayoutNode root;
+    root.element = "FrameLayout";
+    root.children.push_back(
+        LayoutNode{"TextView", {{"text", "@string/missing"}}, {}});
+    const ResourceId id =
+        table->addLayout("broken", ResourceQualifier::any(), LayoutValue{root});
+    auto result = inflater->inflate(id, config);
+    ASSERT_FALSE(result.isOk());
+    EXPECT_EQ(result.status().toString(),
+              "NotFound: no resource named missing");
+}
+
+TEST_F(InflaterFixture, ReferenceDeclaredAfterTheLayoutResolves)
+{
+    LayoutNode root;
+    root.element = "LinearLayout";
+    root.children.push_back(
+        LayoutNode{"TextView", {{"id", "t"}, {"text", "@string/late"}}, {}});
+    root.children.push_back(
+        LayoutNode{"ImageView", {{"id", "i"}, {"src", "@drawable/late"}}, {}});
+    const ResourceId id =
+        table->addLayout("late", ResourceQualifier::any(), LayoutValue{root});
+    table->addString("late", ResourceQualifier::any(), StringValue{"Late"});
+    table->addDrawable("late", ResourceQualifier::any(),
+                       DrawableValue{"late_any", 4, 4});
+
+    auto result = inflater->inflate(id, config);
+    ASSERT_TRUE(result.isOk());
+    auto *text =
+        dynamic_cast<TextView *>(result.value().value->findViewById("t"));
+    ASSERT_NE(text, nullptr);
+    EXPECT_EQ(text->text(), "Late");
+    auto *image =
+        dynamic_cast<ImageView *>(result.value().value->findViewById("i"));
+    ASSERT_NE(image, nullptr);
+    EXPECT_EQ(image->assetName(), "late_any");
+}
+
+/** Heap allocations of one warm inflation of `spec`'s main layout. */
+std::size_t
+warmInflationAllocations(const apps::AppSpec &spec)
+{
+    const sim::DeviceModel device = sim::DeviceModel::rk3399();
+    const apps::BuiltApp built = apps::buildAppResources(spec);
+    ResourceManager resources(built.resources, device.resources);
+    LayoutInflater inflater(resources, device.framework.inflate_per_node);
+    const Configuration config = Configuration::defaultPortrait();
+    EXPECT_TRUE(inflater.inflate(built.main_layout, config).isOk());
+
+    const std::size_t before = g_allocations;
+    auto result = inflater.inflate(built.main_layout, config);
+    const std::size_t allocations = g_allocations - before;
+    EXPECT_TRUE(result.isOk());
+    return allocations;
+}
+
+// The layout is compiled once when it is registered, so a warm
+// inflation allocates the views, each group's child list and the values
+// the views own, and nothing per layout node besides. A count above the
+// pin means per-inflation copying or parsing of the layout came back
+// (a copy of the attribute-map tree cost 157 and 109 here).
+TEST(InflaterAllocations, WarmBenchmarkInflationIsPinned)
+{
+    // 35 views (root, title, 32 images, button) + the root's child list.
+    EXPECT_LE(warmInflationAllocations(apps::makeBenchmarkApp(32)), 36u);
+}
+
+TEST(InflaterAllocations, WarmTop100InflationIsPinned)
+{
+    EXPECT_LE(warmInflationAllocations(apps::top100().front()), 30u);
 }
 
 } // namespace
