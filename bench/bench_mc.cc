@@ -1,69 +1,36 @@
 /**
  * @file
- * Model-checker throughput benchmark: snapshot-forked exploration vs
- * replay-from-root across the whole scenario catalogue.
+ * Model-checker throughput ledger: one replay-from-root exploration of
+ * every catalogue scenario, timed.
  *
- * For every scenario the explorer runs twice — once with copy-on-write
- * snapshots (the default) and once with --no-snapshot semantics — and
- * reports schedules/s plus replayed-events-per-schedule for each arm,
- * asserting along the way that both arms covered identical schedule
- * counts, executions and violation verdicts (the bit-identity bar; the
- * binary exits 1 if any scenario diverges). Results land in a JSON
- * file (--out=PATH, default BENCH_mc.json) that the CI perf-smoke job
- * archives and compares against bench/BENCH_mc.baseline.json via
- * tools/compare_mc.py.
+ * For each scenario the explorer runs once with the options
+ * rchdroid_mc uses by default (sleep sets, visited-state pruning, and
+ * the scenario's static independence spec when it has one). The binary
+ * prints and writes (--out=PATH, default BENCH_mc.json) the
+ * deterministic counters — executions, schedules covered, truncation,
+ * violations, events replayed — next to the wall time and schedules/s.
+ * The CI perf-smoke job archives the file and gates it against
+ * bench/BENCH_mc.baseline.json with tools/compare_mc.py: the counters
+ * must match the baseline exactly, wall clock is advisory.
  *
- * Metric notes. "Replayed events per schedule" counts redundant prefix
- * work only: scheduler events an execution re-ran below its divergence
- * point that some earlier execution had already performed. Replay-
- * from-root pays the full prefix every time; snapshot resumes inherit
- * it (reported as events_saved), so their replayed count is 0 whenever
- * every branch resumes from its exact divergence depth.
- * `events_replayed_reduction` divides root by snapshot replayed
- * events, using a denominator floor of 1 when the snapshot arm
- * replayed nothing (the ratio is then a lower bound, effectively
- * infinite). Wall-clock numbers are advisory on shared runners — the
- * deterministic counters are the gating signal (compare_mc.py).
+ * "Events replayed" is the prefix cost of replay-from-root: for every
+ * execution after the first, the scheduler events it re-ran before
+ * reaching its divergence choice point.
  */
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "mc/explorer.h"
 #include "mc/scenario.h"
-#include "sim/snapshot.h"
 
 namespace {
 
 using rchdroid::mc::ExplorerOptions;
 using rchdroid::mc::ExplorerReport;
 using rchdroid::mc::Scenario;
-
-struct ArmResult
-{
-    ExplorerReport report;
-    double wall_ms = 0.0;
-};
-
-ArmResult
-runArm(const Scenario &scenario, int depth, bool snapshots)
-{
-    ExplorerOptions options;
-    options.scenario = &scenario;
-    options.max_depth = depth;
-    options.snapshots = snapshots;
-    if (!scenario.independence.empty())
-        options.independence = &scenario.independence;
-    const auto start = std::chrono::steady_clock::now();
-    ArmResult arm;
-    arm.report = explore(options);
-    arm.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    return arm;
-}
 
 double
 perSecond(std::uint64_t count, double wall_ms)
@@ -79,45 +46,6 @@ perExecution(std::uint64_t events, std::uint64_t executions)
                ? static_cast<double>(events) /
                      static_cast<double>(executions)
                : 0.0;
-}
-
-bool
-identicalArms(const ExplorerReport &a, const ExplorerReport &b)
-{
-    if (a.stats.schedules_covered != b.stats.schedules_covered ||
-        a.stats.executions != b.stats.executions ||
-        a.stats.truncated != b.stats.truncated ||
-        a.violations.size() != b.violations.size() ||
-        a.first_violation_schedule != b.first_violation_schedule)
-        return false;
-    for (std::size_t i = 0; i < a.violations.size(); ++i) {
-        if (a.violations[i].oracle != b.violations[i].oracle ||
-            a.violations[i].summary != b.violations[i].summary)
-            return false;
-    }
-    return true;
-}
-
-void
-printArmJson(std::FILE *out, const char *key, const ArmResult &arm)
-{
-    const auto &stats = arm.report.stats;
-    std::fprintf(
-        out,
-        "    \"%s\": {\"schedules_covered\": %llu, \"executions\": %llu, "
-        "\"snapshots_taken\": %llu, \"snapshot_restores\": %llu, "
-        "\"events_replayed\": %llu, \"events_saved\": %llu, "
-        "\"replayed_per_execution\": %.3f, \"violations\": %zu, "
-        "\"wall_ms\": %.3f, \"schedules_per_sec\": %.1f}",
-        key, static_cast<unsigned long long>(stats.schedules_covered),
-        static_cast<unsigned long long>(stats.executions),
-        static_cast<unsigned long long>(stats.snapshots_taken),
-        static_cast<unsigned long long>(stats.snapshot_restores),
-        static_cast<unsigned long long>(stats.events_replayed),
-        static_cast<unsigned long long>(stats.events_saved),
-        perExecution(stats.events_replayed, stats.executions),
-        arm.report.violations.size(), arm.wall_ms,
-        perSecond(stats.schedules_covered, arm.wall_ms));
 }
 
 } // namespace
@@ -146,79 +74,55 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::printf("\n=== bench_mc: snapshot-forked exploration vs "
-                "replay-from-root (depth %d) ===\n",
+    std::printf("\n=== bench_mc: replay-from-root exploration of the "
+                "catalogue (depth %d) ===\n",
                 depth);
-    std::printf("snapshots supported here: %s\n",
-                rchdroid::sim::SnapshotHost::supported() ? "yes" : "no");
+    std::fprintf(out, "{\n  \"depth\": %d,\n  \"scenarios\": {\n", depth);
 
-    std::fprintf(out, "{\n  \"depth\": %d,\n  \"snapshots_supported\": %s,"
-                      "\n  \"scenarios\": {\n",
-                 depth,
-                 rchdroid::sim::SnapshotHost::supported() ? "true"
-                                                          : "false");
-
-    bool all_identical = true;
-    double total_snap_ms = 0.0;
-    double total_root_ms = 0.0;
+    double total_ms = 0.0;
     const auto &catalogue = rchdroid::mc::scenarioCatalog();
     for (std::size_t s = 0; s < catalogue.size(); ++s) {
         const Scenario &scenario = catalogue[s];
-        const ArmResult snap = runArm(scenario, depth, true);
-        const ArmResult root = runArm(scenario, depth, false);
-        total_snap_ms += snap.wall_ms;
-        total_root_ms += root.wall_ms;
+        ExplorerOptions options;
+        options.scenario = &scenario;
+        options.max_depth = depth;
+        if (!scenario.independence.empty())
+            options.independence = &scenario.independence;
+        const auto start = std::chrono::steady_clock::now();
+        const ExplorerReport report = explore(options);
+        const double wall_ms = std::chrono::duration<double, std::milli>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count();
+        total_ms += wall_ms;
 
-        const bool identical = identicalArms(snap.report, root.report);
-        all_identical = all_identical && identical;
-        const std::uint64_t snap_replayed =
-            snap.report.stats.events_replayed;
-        const double reduction =
-            static_cast<double>(root.report.stats.events_replayed) /
-            static_cast<double>(snap_replayed > 0 ? snap_replayed : 1);
-
-        std::printf(
-            "%-16s schedules %llu  exec %llu  replayed/exec %.1f -> %.1f"
-            "  saved %llu  wall %.1f -> %.1f ms  identical %s\n",
+        const auto &stats = report.stats;
+        std::printf("%-16s schedules %llu  exec %llu  replayed/exec %.1f"
+                    "  violations %zu  wall %.1f ms  %.0f schedules/s\n",
+                    scenario.name.c_str(),
+                    static_cast<unsigned long long>(stats.schedules_covered),
+                    static_cast<unsigned long long>(stats.executions),
+                    perExecution(stats.events_replayed, stats.executions),
+                    report.violations.size(), wall_ms,
+                    perSecond(stats.schedules_covered, wall_ms));
+        std::fprintf(
+            out,
+            "    \"%s\": {\"schedules_covered\": %llu, \"executions\": "
+            "%llu, \"truncated\": %s, \"violations\": %zu, "
+            "\"events_replayed\": %llu, \"replayed_per_execution\": %.3f, "
+            "\"wall_ms\": %.3f, \"schedules_per_sec\": %.1f}%s\n",
             scenario.name.c_str(),
-            static_cast<unsigned long long>(
-                snap.report.stats.schedules_covered),
-            static_cast<unsigned long long>(snap.report.stats.executions),
-            perExecution(root.report.stats.events_replayed,
-                         root.report.stats.executions),
-            perExecution(snap.report.stats.events_replayed,
-                         snap.report.stats.executions),
-            static_cast<unsigned long long>(
-                snap.report.stats.events_saved),
-            root.wall_ms, snap.wall_ms, identical ? "yes" : "NO");
-
-        std::fprintf(out, "  \"%s\": {\n", scenario.name.c_str());
-        printArmJson(out, "snapshot", snap);
-        std::fprintf(out, ",\n");
-        printArmJson(out, "replay_from_root", root);
-        std::fprintf(out,
-                     ",\n    \"identical\": %s, "
-                     "\"events_replayed_reduction\": %.1f\n  }%s\n",
-                     identical ? "true" : "false", reduction,
-                     s + 1 < catalogue.size() ? "," : "");
+            static_cast<unsigned long long>(stats.schedules_covered),
+            static_cast<unsigned long long>(stats.executions),
+            stats.truncated ? "true" : "false", report.violations.size(),
+            static_cast<unsigned long long>(stats.events_replayed),
+            perExecution(stats.events_replayed, stats.executions), wall_ms,
+            perSecond(stats.schedules_covered, wall_ms),
+            s + 1 < catalogue.size() ? "," : "");
     }
 
-    std::fprintf(out,
-                 "  },\n  \"totals\": {\"snapshot_wall_ms\": %.3f, "
-                 "\"root_wall_ms\": %.3f, \"all_identical\": %s}\n}\n",
-                 total_snap_ms, total_root_ms,
-                 all_identical ? "true" : "false");
+    std::fprintf(out, "  },\n  \"totals\": {\"wall_ms\": %.3f}\n}\n",
+                 total_ms);
     std::fclose(out);
-
-    std::printf("totals: snapshot %.1f ms, replay-from-root %.1f ms, "
-                "all identical: %s\n",
-                total_snap_ms, total_root_ms,
-                all_identical ? "yes" : "NO");
-    std::printf("wrote %s\n", out_path.c_str());
-    if (!all_identical) {
-        std::fprintf(stderr, "::error::bench_mc: snapshot and "
-                             "replay-from-root arms diverged\n");
-        return 1;
-    }
+    std::printf("total wall %.1f ms\nwrote %s\n", total_ms, out_path.c_str());
     return 0;
 }

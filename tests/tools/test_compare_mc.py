@@ -25,154 +25,109 @@ sys.path.insert(
 import compare_mc  # noqa: E402
 
 
-def cell(identical=True, reduction=100.0, snap_replayed=0.0,
-         root_replayed=11.0, schedules=1000, executions=100,
-         snap_wall=50.0, root_wall=25.0):
+def cell(schedules=1000, executions=100, truncated=False, violations=0,
+         replayed=1100, wall=25.0):
     """One scenario's bench_mc cell with sane defaults."""
     return {
-        "snapshot": {
-            "schedules_covered": schedules, "executions": executions,
-            "events_replayed": int(snap_replayed * executions),
-            "replayed_per_execution": snap_replayed,
-            "events_saved": 2000, "wall_ms": snap_wall,
-        },
-        "replay_from_root": {
-            "schedules_covered": schedules, "executions": executions,
-            "events_replayed": int(root_replayed * executions),
-            "replayed_per_execution": root_replayed,
-            "events_saved": 0, "wall_ms": root_wall,
-        },
-        "identical": identical,
-        "events_replayed_reduction": reduction,
+        "schedules_covered": schedules, "executions": executions,
+        "truncated": truncated, "violations": violations,
+        "events_replayed": replayed,
+        "replayed_per_execution": replayed / executions,
+        "wall_ms": wall,
     }
 
 
-def report(scenarios, all_identical=True):
+def report(scenarios, depth=10):
     return {
-        "depth": 10,
+        "depth": depth,
         "scenarios": scenarios,
-        "totals": {"snapshot_wall_ms": 100.0, "root_wall_ms": 50.0,
-                   "all_identical": all_identical},
+        "totals": {"wall_ms": sum(c["wall_ms"] for c in scenarios.values())},
     }
 
 
-class IdentityGateTest(unittest.TestCase):
-    def test_clean_report_passes(self):
-        current = report({"quickstart": cell()})
-        self.assertEqual(compare_mc.check_identity(current), [])
+class CounterGateTest(unittest.TestCase):
+    def test_identical_counters_pass(self):
+        base = report({"quickstart": cell(), "seeded_gc": cell()})
+        cur = report({"quickstart": cell(), "seeded_gc": cell()})
+        self.assertEqual(compare_mc.check_counters(base, cur), [])
 
-    def test_diverged_scenario_is_an_error(self):
-        current = report({"quickstart": cell(identical=False)},
-                         all_identical=False)
-        errors = compare_mc.check_identity(current)
-        self.assertEqual(len(errors), 2)  # scenario + totals
-        self.assertIn("quickstart", errors[0])
+    def test_every_gated_counter_fails_hard(self):
+        for key, value in (("executions", 101),
+                           ("schedules_covered", 999),
+                           ("truncated", True),
+                           ("violations", 1)):
+            with self.subTest(key=key):
+                drifted = cell()
+                drifted[key] = value
+                base = report({"quickstart": cell()})
+                cur = report({"quickstart": drifted})
+                errors = compare_mc.check_counters(base, cur)
+                self.assertEqual(len(errors), 1)
+                self.assertIn(key, errors[0])
+                self.assertIn("quickstart", errors[0])
 
-    def test_false_totals_alone_is_an_error(self):
-        current = report({"quickstart": cell()}, all_identical=False)
-        errors = compare_mc.check_identity(current)
-        self.assertEqual(len(errors), 1)
-        self.assertIn("all_identical", errors[0])
+    def test_replayed_events_and_wall_do_not_gate(self):
+        base = report({"quickstart": cell(replayed=1100, wall=25.0)})
+        cur = report({"quickstart": cell(replayed=900, wall=90.0)})
+        self.assertEqual(compare_mc.check_counters(base, cur), [])
 
-
-class ReductionFloorTest(unittest.TestCase):
-    def test_reduction_above_floor_passes(self):
-        current = report({"quickstart": cell(reduction=5.0)})
-        self.assertIsNone(
-            compare_mc.check_reduction_floor(current, 5.0))
-
-    def test_reduction_below_floor_fails(self):
-        current = report({"quickstart": cell(reduction=4.9)})
-        error = compare_mc.check_reduction_floor(current, 5.0)
-        self.assertIn("4.9x", error)
-
-    def test_missing_quickstart_fails(self):
-        current = report({"login_form": cell()})
-        error = compare_mc.check_reduction_floor(current, 5.0)
-        self.assertIn("missing", error)
-
-
-class ReplayedRegressionTest(unittest.TestCase):
-    def test_unchanged_replayed_passes(self):
-        base = report({"quickstart": cell(snap_replayed=0.0)})
-        cur = report({"quickstart": cell(snap_replayed=0.0)})
-        errors, warnings = compare_mc.check_replayed_regressions(
-            base, cur, 0.5)
-        self.assertEqual(errors, [])
-        self.assertEqual(warnings, [])
-
-    def test_growth_within_epsilon_is_tolerated(self):
-        base = report({"quickstart": cell(snap_replayed=0.0)})
-        cur = report({"quickstart": cell(snap_replayed=0.5)})
-        errors, _ = compare_mc.check_replayed_regressions(base, cur, 0.5)
-        self.assertEqual(errors, [])
-
-    def test_growth_beyond_epsilon_is_an_error(self):
-        base = report({"quickstart": cell(snap_replayed=0.0)})
-        cur = report({"quickstart": cell(snap_replayed=0.6)})
-        errors, _ = compare_mc.check_replayed_regressions(base, cur, 0.5)
-        self.assertEqual(len(errors), 1)
-        self.assertIn("divergence points", errors[0])
-
-    def test_missing_scenario_warns_not_crashes(self):
+    def test_missing_scenario_is_an_error(self):
         base = report({"quickstart": cell(), "gone": cell()})
         cur = report({"quickstart": cell()})
-        errors, warnings = compare_mc.check_replayed_regressions(
-            base, cur, 0.5)
-        self.assertEqual(errors, [])
-        self.assertEqual(len(warnings), 1)
-        self.assertIn("gone", warnings[0])
+        errors = compare_mc.check_counters(base, cur)
+        self.assertEqual(len(errors), 1)
+        self.assertIn("gone", errors[0])
+        self.assertIn("missing", errors[0])
 
-
-class ScheduleDriftTest(unittest.TestCase):
-    def test_identical_counts_are_silent(self):
+    def test_scenario_absent_from_baseline_is_an_error(self):
         base = report({"quickstart": cell()})
-        cur = report({"quickstart": cell()})
-        self.assertEqual(
-            compare_mc.check_schedule_drift(base, cur), [])
+        cur = report({"quickstart": cell(), "fresh": cell()})
+        errors = compare_mc.check_counters(base, cur)
+        self.assertEqual(len(errors), 1)
+        self.assertIn("not in baseline", errors[0])
 
-    def test_moved_counts_warn(self):
-        base = report({"quickstart": cell(schedules=1000)})
-        cur = report({"quickstart": cell(schedules=999)})
-        warnings = compare_mc.check_schedule_drift(base, cur)
-        self.assertEqual(len(warnings), 1)
-        self.assertIn("baseline", warnings[0])
+    def test_depth_mismatch_is_an_error(self):
+        base = report({"quickstart": cell()}, depth=10)
+        cur = report({"quickstart": cell()}, depth=12)
+        errors = compare_mc.check_counters(base, cur)
+        self.assertEqual(len(errors), 1)
+        self.assertIn("depth", errors[0])
 
 
 class WallAdvisoryTest(unittest.TestCase):
     def test_wall_within_ratio_is_silent(self):
-        cur = report(
-            {"quickstart": cell(snap_wall=74.0, root_wall=25.0)})
-        self.assertEqual(compare_mc.check_wall(cur, 3.0), [])
+        base = report({"quickstart": cell(wall=25.0)})
+        cur = report({"quickstart": cell(wall=49.0)})
+        self.assertEqual(compare_mc.check_wall(base, cur, 2.0), [])
 
-    def test_wall_beyond_ratio_warns_only(self):
-        cur = report(
-            {"quickstart": cell(snap_wall=76.0, root_wall=25.0)})
-        warnings = compare_mc.check_wall(cur, 3.0)
+    def test_wall_beyond_ratio_warns(self):
+        base = report({"quickstart": cell(wall=25.0)})
+        cur = report({"quickstart": cell(wall=51.0)})
+        warnings = compare_mc.check_wall(base, cur, 2.0)
         self.assertEqual(len(warnings), 1)
         self.assertIn("advisory", warnings[0])
 
-    def test_zero_root_wall_carries_no_signal(self):
-        cur = report({"quickstart": cell(snap_wall=10.0, root_wall=0.0)})
-        self.assertEqual(compare_mc.check_wall(cur, 3.0), [])
+    def test_zero_baseline_wall_carries_no_signal(self):
+        base = report({"quickstart": cell(wall=0.0)})
+        cur = report({"quickstart": cell(wall=10.0)})
+        self.assertEqual(compare_mc.check_wall(base, cur, 2.0), [])
 
 
 class MainTest(unittest.TestCase):
-    def run_main(self, baseline, current):
+    def run_main(self, baseline, current, *extra):
         """Write both reports to a tempdir and run main(); returns
-        (exit_code, stdout_text)."""
+        (exit_code, stdout_text). A None report is left unwritten."""
         with tempfile.TemporaryDirectory() as tmp:
             base_path = os.path.join(tmp, "baseline.json")
             cur_path = os.path.join(tmp, "current.json")
-            if baseline is not None:
-                with open(base_path, "w") as handle:
-                    json.dump(baseline, handle)
-            with open(cur_path, "w") as handle:
-                json.dump(current, handle)
+            for path, data in ((base_path, baseline), (cur_path, current)):
+                if data is not None:
+                    with open(path, "w") as handle:
+                        json.dump(data, handle)
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
                 code = compare_mc.main(
-                    ["compare_mc.py", base_path, cur_path])
+                    ["compare_mc.py", base_path, cur_path, *extra])
             return code, stdout.getvalue()
 
     def test_clean_run_exits_zero(self):
@@ -181,25 +136,29 @@ class MainTest(unittest.TestCase):
         self.assertEqual(code, 0)
         self.assertIn("gates passed", out)
 
-    def test_divergence_exits_one(self):
+    def test_counter_drift_exits_one(self):
         code, out = self.run_main(
-            report({"quickstart": cell()}),
-            report({"quickstart": cell(identical=False)},
-                   all_identical=False))
+            report({"quickstart": cell(executions=100)}),
+            report({"quickstart": cell(executions=99)}))
         self.assertEqual(code, 1)
         self.assertIn("::error::", out)
 
-    def test_reduction_floor_violation_exits_one(self):
+    def test_slow_wall_alone_warns_but_passes(self):
         code, out = self.run_main(
-            report({"quickstart": cell()}),
-            report({"quickstart": cell(reduction=2.0)}))
-        self.assertEqual(code, 1)
-        self.assertIn("floor", out)
-
-    def test_missing_baseline_is_advisory(self):
-        code, out = self.run_main(None, report({"quickstart": cell()}))
+            report({"quickstart": cell(wall=10.0)}),
+            report({"quickstart": cell(wall=100.0)}), "--wall-ratio=3.0")
         self.assertEqual(code, 0)
         self.assertIn("::warning::", out)
+
+    def test_missing_baseline_exits_one(self):
+        code, out = self.run_main(None, report({"quickstart": cell()}))
+        self.assertEqual(code, 1)
+        self.assertIn("baseline", out)
+
+    def test_missing_run_exits_one(self):
+        code, out = self.run_main(report({"quickstart": cell()}), None)
+        self.assertEqual(code, 1)
+        self.assertIn("run", out)
 
     def test_too_few_arguments_prints_usage(self):
         stdout = io.StringIO()

@@ -1,144 +1,88 @@
 #!/usr/bin/env python3
 """Gate a BENCH_mc.json run against bench/BENCH_mc.baseline.json.
 
-Usage: compare_mc.py BASELINE_JSON CURRENT_JSON [--reduction-floor=5.0]
-                     [--replayed-epsilon=0.5] [--wall-ratio=3.0]
+Usage: compare_mc.py BASELINE_JSON CURRENT_JSON [--wall-ratio=3.0]
 
-bench_mc runs every model-check scenario twice — snapshot-forked and
-replay-from-root — so the report splits into two kinds of numbers, and
-(following tools/compare_simcore.py) they gate differently:
+bench_mc explores every model-check scenario once and reports two kinds
+of numbers, which (following tools/compare_simcore.py) gate differently:
 
-Deterministic counters gate HARD (exit 1 with a ::error::):
-  * any scenario where the two arms diverged (`identical` false, or
-    `totals.all_identical` false) — the bit-identity soundness bar;
-  * the quickstart `events_replayed_reduction` below the floor — the
-    headline perf_opt acceptance criterion (snapshot resumes must kill
-    at least `--reduction-floor` of the replay-from-root prefix work);
-  * a snapshot arm whose replayed-events-per-execution grew by more
-    than `--replayed-epsilon` over the baseline — checkpoints stopped
-    landing at the divergence points they used to.
+Deterministic counters gate HARD (exit 1 with a ::error::): per
+scenario, `executions`, `schedules_covered`, `truncated` and the
+violation count must equal the baseline exactly, and the run must cover
+the same scenarios at the same depth. The explorer is deterministic, so
+any difference is a behaviour change; when it is intended, re-record
+the baseline in the same change.
 
-Wall-clock numbers only WARN: shared CI runners make them advisory,
-and at the catalogue's microsecond scenario scale a fork costs more
-than a whole re-execution, so the snapshot arm's wall is expected to
-trail until scenarios grow (see DESIGN.md §15). The warning threshold
-is `--wall-ratio` times the replay-from-root arm.
+Wall-clock numbers only WARN: shared CI runners make them advisory. A
+scenario whose wall time exceeds `--wall-ratio` times the baseline's
+gets a ::warning::. The baseline comes from a different machine than
+the runner, and repeat runs on one machine already spread by almost
+2x, so the default ratio is a loose 3.0.
 
-Schedule/execution-count drifts against the baseline also only warn:
-they move legitimately when exploration or reduction logic changes,
-and the cure is refreshing the checked-in baseline in the same PR.
-
-A missing or unreadable baseline skips the baseline-relative checks
-with a warning (a branch may predate the baseline); the current run's
-self-contained gates (bit-identity, reduction floor) still apply.
+A missing or unreadable report (baseline or run) is an error: with no
+baseline there is nothing to hold the counters to.
 """
 
 import json
 import sys
 
-QUICKSTART = "quickstart"
+#: The per-scenario counters that must match the baseline exactly.
+GATED_COUNTERS = ("executions", "schedules_covered", "truncated",
+                  "violations")
 
 
 def load_report(path, role):
-    """Load one report; None (with a warning) when absent/unparsable."""
+    """Load one report; None (with an error line) when unusable."""
     try:
         with open(path) as handle:
             return json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"::warning::bench_mc {role} {path} unusable ({exc})")
+        print(f"::error::bench_mc {role} {path} unusable ({exc})")
         return None
 
 
-def check_identity(current):
-    """Hard bit-identity gate on the current run alone.
+def check_counters(baseline, current):
+    """Hard gate: every deterministic counter equals the baseline.
 
-    Returns a list of error strings (empty = pass): one per scenario
-    whose arms diverged, plus one for a false totals.all_identical.
+    Returns a list of error strings (empty = pass): one per differing
+    counter, per scenario present on one side only, and one for a depth
+    mismatch.
     """
     errors = []
-    for name, cell in sorted(current.get("scenarios", {}).items()):
-        if cell.get("identical") is not True:
-            errors.append(
-                f"scenario {name}: snapshot and replay-from-root arms "
-                f"diverged (schedules/executions/violations)")
-    totals = current.get("totals", {})
-    if totals and totals.get("all_identical") is not True:
-        errors.append("totals.all_identical is false")
+    if baseline.get("depth") != current.get("depth"):
+        errors.append(f"depth {current.get('depth')} differs from the "
+                      f"baseline's {baseline.get('depth')}")
+    base_cells = baseline.get("scenarios", {})
+    cur_cells = current.get("scenarios", {})
+    for name in sorted(set(base_cells) | set(cur_cells)):
+        if name not in cur_cells:
+            errors.append(f"scenario {name} missing from run")
+            continue
+        if name not in base_cells:
+            errors.append(f"scenario {name} not in baseline")
+            continue
+        for key in GATED_COUNTERS:
+            base = base_cells[name].get(key)
+            cur = cur_cells[name].get(key)
+            if base != cur:
+                errors.append(
+                    f"scenario {name}: {key} {cur} differs from baseline "
+                    f"{base} — re-record bench/BENCH_mc.baseline.json if "
+                    f"the exploration change is intended")
     return errors
 
 
-def check_reduction_floor(current, floor):
-    """Hard gate: quickstart replayed-events reduction >= floor.
-
-    Returns an error string or None. A missing quickstart cell is an
-    error too — the acceptance metric must be measurable.
-    """
-    cell = current.get("scenarios", {}).get(QUICKSTART)
-    if cell is None:
-        return f"scenario {QUICKSTART} missing from run"
-    reduction = cell.get("events_replayed_reduction", 0.0)
-    if reduction < floor:
-        return (f"{QUICKSTART} events_replayed_reduction {reduction:.1f}x "
-                f"is below the {floor:.1f}x floor")
-    return None
-
-
-def check_replayed_regressions(baseline, current, epsilon):
-    """Deterministic perf gate vs baseline.
-
-    Returns (errors, warnings): an error per scenario whose snapshot
-    arm now replays more events per execution than the baseline plus
-    epsilon; a warning per scenario missing from the current run.
-    """
-    errors = []
+def check_wall(baseline, current, ratio):
+    """Advisory: scenarios whose wall time grew past ratio x baseline."""
     warnings = []
-    for name, base_cell in sorted(baseline.get("scenarios", {}).items()):
-        cur_cell = current.get("scenarios", {}).get(name)
-        if cur_cell is None:
-            warnings.append(f"scenario {name} missing from run")
-            continue
-        base = base_cell.get("snapshot", {}).get("replayed_per_execution",
-                                                 0.0)
-        cur = cur_cell.get("snapshot", {}).get("replayed_per_execution",
-                                               0.0)
-        if cur > base + epsilon:
-            errors.append(
-                f"scenario {name}: snapshot arm replays "
-                f"{cur:.2f} events/execution (baseline {base:.2f} + "
-                f"epsilon {epsilon:.2f}) — checkpoints no longer land "
-                f"at divergence points")
-    return errors, warnings
-
-
-def check_schedule_drift(baseline, current):
-    """Advisory: schedule/execution counts moved vs the baseline."""
-    warnings = []
-    for name, base_cell in sorted(baseline.get("scenarios", {}).items()):
-        cur_cell = current.get("scenarios", {}).get(name)
-        if cur_cell is None:
-            continue
-        for key in ("schedules_covered", "executions"):
-            base = base_cell.get("snapshot", {}).get(key)
-            cur = cur_cell.get("snapshot", {}).get(key)
-            if base != cur:
-                warnings.append(
-                    f"scenario {name}: {key} moved {base} -> {cur} vs "
-                    f"baseline — refresh bench/BENCH_mc.baseline.json if "
-                    f"the exploration change is intentional")
-    return warnings
-
-
-def check_wall(current, ratio):
-    """Advisory: snapshot arm wall beyond ratio x replay-from-root."""
-    warnings = []
+    base_cells = baseline.get("scenarios", {})
     for name, cell in sorted(current.get("scenarios", {}).items()):
-        snap_ms = cell.get("snapshot", {}).get("wall_ms", 0.0)
-        root_ms = cell.get("replay_from_root", {}).get("wall_ms", 0.0)
-        if root_ms > 0.0 and snap_ms > ratio * root_ms:
+        base_ms = base_cells.get(name, {}).get("wall_ms", 0.0)
+        cur_ms = cell.get("wall_ms", 0.0)
+        if base_ms > 0.0 and cur_ms > ratio * base_ms:
             warnings.append(
-                f"scenario {name}: snapshot wall {snap_ms:.1f} ms > "
-                f"{ratio:.1f}x replay-from-root {root_ms:.1f} ms "
-                f"(advisory at micro-scenario scale)")
+                f"scenario {name}: wall {cur_ms:.1f} ms > {ratio:.1f}x "
+                f"baseline {base_ms:.1f} ms (advisory)")
     return warnings
 
 
@@ -146,49 +90,24 @@ def main(argv):
     if len(argv) < 3:
         print(__doc__)
         return 2
-    reduction_floor = 5.0
-    replayed_epsilon = 0.5
     wall_ratio = 3.0
     for arg in argv[3:]:
-        if arg.startswith("--reduction-floor="):
-            reduction_floor = float(arg.split("=", 1)[1])
-        elif arg.startswith("--replayed-epsilon="):
-            replayed_epsilon = float(arg.split("=", 1)[1])
-        elif arg.startswith("--wall-ratio="):
+        if arg.startswith("--wall-ratio="):
             wall_ratio = float(arg.split("=", 1)[1])
 
+    baseline = load_report(argv[1], "baseline")
     current = load_report(argv[2], "run")
-    if current is None:
-        print("::error::bench_mc run report unusable — failing")
+    if baseline is None or current is None:
         return 1
 
-    errors = check_identity(current)
-    floor_error = check_reduction_floor(current, reduction_floor)
-    if floor_error:
-        errors.append(floor_error)
-    warnings = check_wall(current, wall_ratio)
-
-    baseline = load_report(argv[1], "baseline")
-    if baseline is None:
-        warnings.append("baseline missing — baseline-relative checks "
-                        "skipped")
-    else:
-        replay_errors, replay_warnings = check_replayed_regressions(
-            baseline, current, replayed_epsilon)
-        errors.extend(replay_errors)
-        warnings.extend(replay_warnings)
-        warnings.extend(check_schedule_drift(baseline, current))
+    errors = check_counters(baseline, current)
+    warnings = check_wall(baseline, current, wall_ratio)
 
     for name, cell in sorted(current.get("scenarios", {}).items()):
-        snap = cell.get("snapshot", {})
-        root = cell.get("replay_from_root", {})
-        print(f"{name}: {snap.get('schedules_covered')} schedules, "
-              f"replayed/exec {root.get('replayed_per_execution', 0):.1f}"
-              f" -> {snap.get('replayed_per_execution', 0):.1f}, "
-              f"saved {snap.get('events_saved')}, wall "
-              f"{root.get('wall_ms', 0):.1f} -> "
-              f"{snap.get('wall_ms', 0):.1f} ms, identical="
-              f"{cell.get('identical')}")
+        print(f"{name}: {cell.get('executions')} executions, "
+              f"{cell.get('schedules_covered')} schedules, replayed/exec "
+              f"{cell.get('replayed_per_execution', 0):.1f}, wall "
+              f"{cell.get('wall_ms', 0):.1f} ms")
 
     for warning in warnings:
         print(f"::warning::bench_mc {warning}")
@@ -196,8 +115,7 @@ def main(argv):
         print(f"::error::bench_mc {error}")
     if errors:
         return 1
-    print(f"bench_mc gates passed (reduction floor {reduction_floor:.1f}x,"
-          f" replayed epsilon {replayed_epsilon:.2f})")
+    print("bench_mc gates passed (counters identical to the baseline)")
     return 0
 
 

@@ -23,9 +23,6 @@
  *   --no-mhp          disable the static independence oracle (classic
  *                     unguided DPOR; the guided-vs-unguided CI gate
  *                     compares this against the default)
- *   --no-snapshot     replay every branch from the root instead of
- *                     forking copy-on-write checkpoints (A/B flag; the
- *                     reports must be bit-identical either way)
  *   --json            machine-readable per-scenario report (stats incl.
  *                     sleep_skips / visited hits / mhp prunes + wall
  *                     time) on stdout instead of the text summary
@@ -36,11 +33,15 @@
  *   --trace-out=FILE  with --replay: write a Chrome trace-event JSON
  *                     of the replay (open in Perfetto)
  *
+ * Numeric flags must be plain non-negative decimal integers in range:
+ * trailing characters, signs and overflow are usage errors, never read
+ * as a default (a misread budget would pass for a clean verdict).
+ *
  * Exit code: 0 = no violation, 1 = violation found, 2 = usage error.
  */
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -64,7 +65,6 @@ struct Flags
     std::vector<std::string> oracles;
     bool naive = false;
     bool use_mhp = true;
-    bool use_snapshots = true;
     bool json = false;
     bool run_analysis = true;
     bool minimize = true;
@@ -73,8 +73,9 @@ struct Flags
     std::string trace_out;
 };
 
+/** Split on commas; empty pieces are kept only with `keep_empty`. */
 std::vector<std::string>
-splitCommas(const std::string &value)
+splitCommas(const std::string &value, bool keep_empty = false)
 {
     std::vector<std::string> out;
     std::size_t start = 0;
@@ -84,13 +85,36 @@ splitCommas(const std::string &value)
             value.substr(start, comma == std::string::npos
                                     ? std::string::npos
                                     : comma - start);
-        if (!piece.empty())
+        if (keep_empty || !piece.empty())
             out.push_back(piece);
         if (comma == std::string::npos)
             break;
         start = comma + 1;
     }
     return out;
+}
+
+/**
+ * Parse all of `text` as a non-negative decimal integer that fits T.
+ * Prints a usage message naming `flag` and returns nullopt otherwise.
+ */
+template <typename T>
+std::optional<T>
+parseCount(const char *flag, const std::string &text)
+{
+    T value{};
+    const char *first = text.data();
+    const char *last = first + text.size();
+    const auto [end, error] = std::from_chars(first, last, value);
+    // from_chars accepts a leading '-' for signed T; counts have none.
+    if (text.empty() || text.front() == '-' || error != std::errc() ||
+        end != last) {
+        std::fprintf(stderr,
+                     "%s: \"%s\" is not a non-negative integer in range\n",
+                     flag, text.c_str());
+        return std::nullopt;
+    }
+    return value;
 }
 
 std::optional<Flags>
@@ -107,18 +131,22 @@ parseFlags(int argc, char **argv)
         } else if (arg.rfind("--app=", 0) == 0) {
             flags.app = value("--app=");
         } else if (arg.rfind("--depth=", 0) == 0) {
-            flags.depth = std::atoi(value("--depth=").c_str());
+            const auto depth = parseCount<int>("--depth", value("--depth="));
+            if (!depth)
+                return std::nullopt;
+            flags.depth = *depth;
         } else if (arg.rfind("--max-states=", 0) == 0) {
-            flags.max_states = std::strtoull(
-                value("--max-states=").c_str(), nullptr, 10);
+            const auto max_states = parseCount<std::uint64_t>(
+                "--max-states", value("--max-states="));
+            if (!max_states)
+                return std::nullopt;
+            flags.max_states = *max_states;
         } else if (arg.rfind("--oracles=", 0) == 0) {
             flags.oracles = splitCommas(value("--oracles="));
         } else if (arg == "--naive") {
             flags.naive = true;
         } else if (arg == "--no-mhp") {
             flags.use_mhp = false;
-        } else if (arg == "--no-snapshot") {
-            flags.use_snapshots = false;
         } else if (arg == "--json") {
             flags.json = true;
         } else if (arg == "--no-analysis") {
@@ -128,9 +156,12 @@ parseFlags(int argc, char **argv)
         } else if (arg.rfind("--replay=", 0) == 0) {
             flags.replay = true;
             for (const std::string &piece :
-                 splitCommas(value("--replay=")))
-                flags.replay_schedule.push_back(
-                    std::atoi(piece.c_str()));
+                 splitCommas(value("--replay="), /*keep_empty=*/true)) {
+                const auto choice = parseCount<int>("--replay", piece);
+                if (!choice)
+                    return std::nullopt;
+                flags.replay_schedule.push_back(*choice);
+            }
         } else if (arg.rfind("--trace-out=", 0) == 0) {
             flags.trace_out = value("--trace-out=");
         } else {
@@ -243,15 +274,8 @@ reportJson(const Flags &flags, const mc::Scenario &scenario,
     out += ", \"mhp_prunes\": " + std::to_string(stats.mhp_prunes);
     out += ", \"mhp_sleep_keeps\": " +
            std::to_string(stats.mhp_sleep_keeps);
-    out += ", \"snapshot\": ";
-    out += stats.snapshots_active ? "true" : "false";
-    out += ", \"snapshots_taken\": " +
-           std::to_string(stats.snapshots_taken);
-    out += ", \"snapshot_restores\": " +
-           std::to_string(stats.snapshot_restores);
     out += ", \"events_replayed\": " +
            std::to_string(stats.events_replayed);
-    out += ", \"events_saved\": " + std::to_string(stats.events_saved);
     out += ", \"truncated\": ";
     out += stats.truncated ? "true" : "false";
     char buf[40];
@@ -282,7 +306,6 @@ runExplore(const Flags &flags, const mc::Scenario &scenario)
     options.oracles = flags.oracles;
     options.run_analysis = flags.run_analysis;
     options.reduction = !flags.naive;
-    options.snapshots = flags.use_snapshots;
     const bool guided = flags.use_mhp && !flags.naive &&
                         !scenario.independence.empty();
     if (guided)
@@ -330,20 +353,9 @@ runExplore(const Flags &flags, const mc::Scenario &scenario)
                     static_cast<unsigned long long>(
                         report.stats.mhp_sleep_keeps));
     }
-    if (report.stats.snapshots_active) {
-        std::printf("  snapshots taken   : %llu\n",
-                    static_cast<unsigned long long>(
-                        report.stats.snapshots_taken));
-        std::printf("  snapshot restores : %llu\n",
-                    static_cast<unsigned long long>(
-                        report.stats.snapshot_restores));
-        std::printf("  events replayed   : %llu\n",
-                    static_cast<unsigned long long>(
-                        report.stats.events_replayed));
-        std::printf("  events saved      : %llu\n",
-                    static_cast<unsigned long long>(
-                        report.stats.events_saved));
-    }
+    std::printf("  events replayed   : %llu\n",
+                static_cast<unsigned long long>(
+                    report.stats.events_replayed));
     std::printf("  wall time         : %.1f ms\n", wall_ms);
 
     if (report.violations.empty()) {
