@@ -4,22 +4,24 @@
  * (AppSpec × RuntimeChangeMode × run) — across hardware threads.
  *
  * Every cell builds its own fully isolated sim::AndroidSystem, and all
- * remaining process-wide simulator state is thread-confined (analysis
- * hooks and Looper::current are thread_local, the log min-level is
- * atomic), so cells may run on any thread in any order. Determinism
- * falls out of indexing: results land in a slot chosen by cell index,
- * and callers aggregate in index order, so the output is bit-identical
- * for any thread count — including jobs=1, which runs inline on the
- * caller with no pool at all.
+ * remaining process-wide simulator state is thread-confined (the
+ * instrumentation seam and Looper::current are thread_local, the log
+ * min-level is atomic), so cells may run on any thread in any order.
+ * Determinism falls out of indexing: results land in a slot chosen by
+ * cell index, and callers aggregate in index order, so the output is
+ * bit-identical for any thread count — including jobs=1, which runs
+ * inline on the caller with no pool at all.
  */
 #ifndef RCHDROID_BENCH_PARALLEL_RUNNER_H
 #define RCHDROID_BENCH_PARALLEL_RUNNER_H
 
 #include <atomic>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -28,18 +30,42 @@
 namespace rchdroid::bench {
 
 /**
+ * A job count: a positive decimal integer that fits an int, and
+ * nothing else — no sign, no spaces, no trailing characters.
+ */
+inline std::optional<int>
+parseJobCount(std::string_view text)
+{
+    int jobs = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, jobs);
+    if (text.empty() || ec != std::errc() || ptr != end || jobs <= 0)
+        return std::nullopt;
+    return jobs;
+}
+
+/** parseJobCount(), or a message naming `source` and exit status 2. */
+inline int
+requireJobCount(const char *source, std::string_view text)
+{
+    if (const std::optional<int> jobs = parseJobCount(text))
+        return *jobs;
+    std::fprintf(stderr, "%s: expected a positive integer job count, got "
+                 "\"%.*s\"\n",
+                 source, static_cast<int>(text.size()), text.data());
+    std::exit(2);
+}
+
+/**
  * Worker count used when none is requested explicitly: the
- * RCHDROID_JOBS environment variable if set and positive, else the
- * hardware concurrency (at least 1).
+ * RCHDROID_JOBS environment variable if set (a malformed value exits
+ * 2), else the hardware concurrency (at least 1).
  */
 inline int
 defaultJobs()
 {
-    if (const char *env = std::getenv("RCHDROID_JOBS")) {
-        const int jobs = std::atoi(env);
-        if (jobs > 0)
-            return jobs;
-    }
+    if (const char *env = std::getenv("RCHDROID_JOBS"))
+        return requireJobCount("RCHDROID_JOBS", env);
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
@@ -47,7 +73,7 @@ defaultJobs()
 /**
  * Extract a `--jobs=N` (or `--jobs N`) flag from a bench binary's argv.
  * The flag and its value are removed from argv/argc so later argument
- * handling never sees them.
+ * handling never sees them. A malformed or missing value exits 2.
  * @return the requested job count, or 0 when the flag is absent
  *         (callers pass 0 to ParallelRunner, which uses defaultJobs()).
  */
@@ -57,20 +83,18 @@ parseJobsFlag(int &argc, char **argv)
     int jobs = 0;
     int out = 1;
     for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
+        const std::string_view arg = argv[i];
         if (arg.rfind("--jobs=", 0) == 0) {
-            jobs = std::atoi(arg.c_str() + 7);
+            jobs = requireJobCount("--jobs", arg.substr(7));
             continue;
         }
-        if (arg == "--jobs" && i + 1 < argc) {
-            jobs = std::atoi(argv[++i]);
+        if (arg == "--jobs") {
+            jobs = requireJobCount("--jobs", i + 1 < argc ? argv[++i] : "");
             continue;
         }
         argv[out++] = argv[i];
     }
     argc = out;
-    if (jobs < 0)
-        jobs = 0;
     return jobs;
 }
 

@@ -1,9 +1,8 @@
 #include "ams/activity_starter.h"
 
 #include "ams/atms.h"
+#include "os/instrumentation.h"
 #include "platform/logging.h"
-#include "platform/metrics.h"
-#include "platform/tracing.h"
 
 namespace rchdroid {
 
@@ -113,7 +112,7 @@ ActivityStarter::setTaskFromIntentActivity(TaskRecord &task,
 {
     const ActivityToken previous_top = task.top();
     ActivityRecord *previous_record = atms_.mutableRecordFor(previous_top);
-    RCH_TRACE_SCOPE_ARG("rch.coinFlip", intent.component, "rch");
+    seam::Span span("rch.coinFlip", intent.component, "rch");
 
     // Coin-flip probe: is there a live shadow record for this component
     // in the current task?
@@ -142,7 +141,6 @@ ActivityStarter::setTaskFromIntentActivity(TaskRecord &task,
             previous_record->setState(RecordState::Stopped);
         }
         ++stats_.coin_flips;
-        metrics::add(metrics::Counter::kCoinFlipHit);
         atms_.emitEvent(kinds::kAtmsCoinFlip, intent.component,
                         static_cast<double>(*shadow_token));
 
@@ -173,7 +171,6 @@ ActivityStarter::setTaskFromIntentActivity(TaskRecord &task,
         previous_record->setState(RecordState::Stopped);
     }
     ++stats_.sunny_creates;
-    metrics::add(metrics::Counter::kCoinFlipMiss);
     atms_.emitEvent(kinds::kAtmsSunnyCreate, intent.component,
                     static_cast<double>(record.token()));
 

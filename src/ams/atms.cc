@@ -2,9 +2,8 @@
 
 #include <utility>
 
+#include "os/instrumentation.h"
 #include "platform/logging.h"
-#include "platform/metrics.h"
-#include "platform/tracing.h"
 
 namespace rchdroid {
 
@@ -84,24 +83,17 @@ Atms::callClient(const std::string &process, std::function<void()> fn,
     SimDuration departure_delay = 0;
     if (looper_.isDispatching())
         departure_delay = looper_.currentCostEnd() - scheduler_.now();
+    // The binder send site: the client-side message this transaction
+    // enqueues inherits the hop's flow id through the scheduler slot, so
+    // the edge spans the whole server->client hop and the binder latency
+    // shows up as queue wait.
+    static const std::string kBinder = "binder";
+    const SimDuration delay =
+        departure_delay + client_latency_.oneWay(payload_bytes);
     std::uint64_t causal_id = 0;
-#if RCHDROID_TRACING
-    // Flow-start at the binder send site: the client-side message this
-    // transaction enqueues inherits the id through the scheduler slot
-    // (pending causal), so the edge spans the whole server->client hop
-    // and the binder latency shows up as queue wait.
-    if (trace::Tracer *tracer = trace::Tracer::current()) {
-        if (looper_.isDispatching()) {
-            causal_id = tracer->newFlowId();
-            tracer->flowAt(trace::Phase::kFlowStart, tracer->currentLane(),
-                           tracer->now(), causal_id, "binder",
-                           /*bind_enclosing=*/false);
-        }
-    }
-#endif
-    scheduler_.schedule(departure_delay +
-                            client_latency_.oneWay(payload_bytes),
-                        std::move(fn), EventLabel{}, causal_id);
+    seam::emit(&seam::Observer::onMessageSend, nullptr, 0,
+               scheduler_.now() + delay, kBinder, causal_id);
+    scheduler_.schedule(delay, std::move(fn), EventLabel{}, causal_id);
 }
 
 ActivityRecord &
@@ -150,7 +142,6 @@ Atms::updateConfiguration(const Configuration &config)
     // Timestamp the arrival: the paper measures handling time from the
     // configuration change arriving at the ATMS.
     emitEvent(kinds::kAtmsConfigChange, config.toString());
-    metrics::add(metrics::Counter::kConfigChanges);
     looper_.post([this, config] { handleConfigChange(config); }, 0,
                  costs_.config_dispatch, "updateConfiguration");
 }
@@ -194,7 +185,6 @@ Atms::handleConfigChange(const Configuration &config)
                 client->scheduleRelaunchActivity(token, config);
             });
         }
-        metrics::add(metrics::Counter::kRelaunches);
         emitEvent(kinds::kAtmsRelaunch, top->component(),
                   static_cast<double>(token));
         return;

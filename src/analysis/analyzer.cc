@@ -5,6 +5,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "os/message_queue.h"
+
 namespace rchdroid::analysis {
 
 Analyzer::Analyzer(AnalyzerOptions options)
@@ -59,27 +61,26 @@ Analyzer::onLooperDestroyed(Looper &looper)
 }
 
 void
-Analyzer::onMessageSend(Looper &target, std::uint64_t msg_id, SimTime when,
-                        const std::string &tag)
+Analyzer::onMessageSend(Looper *target, std::uint64_t msg_id, SimTime,
+                        const std::string &, std::uint64_t &)
 {
-    (void)when;
-    (void)tag;
-    if (options_.race_detector)
-        races_.onMessageSend(target, msg_id);
+    // Hops that bypass a message queue order nothing by themselves: the
+    // message they finally enqueue is the edge.
+    if (target && options_.race_detector)
+        races_.onMessageSend(*target, msg_id);
 }
 
 void
-Analyzer::onDispatchBegin(Looper &looper, std::uint64_t msg_id,
-                          const std::string &tag)
+Analyzer::onDispatchBegin(Looper &looper, const Message &msg)
 {
-    context_.pushDispatch(looper, msg_id, tag);
+    context_.pushDispatch(looper, msg.analysis_id, msg.tag);
     if (options_.race_detector)
-        races_.onDispatchBegin(looper, msg_id);
+        races_.onDispatchBegin(looper, msg.analysis_id);
     std::ostringstream os;
     os << formatSimTime(looper.now()) << " " << looper.name() << " #"
-       << msg_id;
-    if (!tag.empty())
-        os << " '" << tag << "'";
+       << msg.analysis_id;
+    if (!msg.tag.empty())
+        os << " '" << msg.tag << "'";
     noteTimeline(os.str());
 }
 
@@ -160,35 +161,40 @@ Analyzer::onAppCodeEnd()
     context_.exitAppCode();
 }
 
-ScopedAnalyzer::ScopedAnalyzer(AnalyzerOptions options) : analyzer_(options)
-{
-    if (!hooks()) {
-        setHooks(&analyzer_);
-        installed_ = true;
-    }
-}
-
-ScopedAnalyzer::~ScopedAnalyzer()
-{
-    if (installed_)
-        setHooks(nullptr);
-}
-
 namespace {
 
-/** -1 unset, 0 forced off, 1 forced on. */
+/** -1 unset (or unrecognised), 0 forced off, 1 forced on. */
 int
 envTristate(const char *name)
 {
     const char *value = std::getenv(name);
     if (!value || !*value)
         return -1;
-    return (std::strcmp(value, "0") == 0 || std::strcmp(value, "false") == 0)
-               ? 0
-               : 1;
+    for (const char *off : {"0", "false", "off", "no"}) {
+        if (std::strcmp(value, off) == 0)
+            return 0;
+    }
+    for (const char *on : {"1", "true", "on", "yes"}) {
+        if (std::strcmp(value, on) == 0)
+            return 1;
+    }
+    std::fprintf(stderr,
+                 "%s=%s not understood (use 1/true/on/yes or "
+                 "0/false/off/no); ignored\n",
+                 name, value);
+    return -1;
 }
 
 } // namespace
+
+ScopedAnalyzer::ScopedAnalyzer(AnalyzerOptions options) : analyzer_(options)
+{
+    for (const seam::Observer *o = seam::observers(); o; o = o->next()) {
+        if (dynamic_cast<const Analyzer *>(o))
+            return; // the earlier installation wins
+    }
+    guard_.emplace(analyzer_);
+}
 
 bool
 analysisEnabledByDefault()

@@ -1,17 +1,19 @@
 /**
  * @file
- * Analyzer: the analysis subsystem's facade — one object implementing
- * the os-level Hooks interface, owning the race detector, the lifecycle
- * protocol checker, the shared ViolationSink, and a ring buffer of
- * recent events that every violation report carries as a timeline.
+ * Analyzer: the analysis subsystem's facade — one observer on the
+ * instrumentation seam (os/instrumentation.h), owning the race
+ * detector, the lifecycle protocol checker, the shared ViolationSink,
+ * and a ring buffer of recent events that every violation report
+ * carries as a timeline.
  *
  * Installation is RAII-scoped (ScopedAnalyzer) and idempotent: a guard
- * only installs when no hooks are present, so a test that installs its
- * own analyzer wins over the one AndroidSystem would install. By
- * default the subsystem is on in debug builds and off in release; the
- * RCHDROID_ANALYSIS / RCHDROID_ANALYSIS_ABORT environment variables
- * override in both directions, which is how every tier-1 ctest run gets
- * the checkers with abort-on-violation armed regardless of build type.
+ * only installs when no analyzer is installed on the thread, so a test
+ * that installs its own analyzer wins over the one AndroidSystem would
+ * install. By default the subsystem is on in debug builds and off in
+ * release; the RCHDROID_ANALYSIS / RCHDROID_ANALYSIS_ABORT environment
+ * variables override in both directions, which is how every tier-1
+ * ctest run gets the checkers with abort-on-violation armed regardless
+ * of build type.
  */
 #ifndef RCHDROID_ANALYSIS_ANALYZER_H
 #define RCHDROID_ANALYSIS_ANALYZER_H
@@ -25,7 +27,7 @@
 #include "analysis/lifecycle_checker.h"
 #include "analysis/race_detector.h"
 #include "analysis/violation.h"
-#include "os/analysis_hooks.h"
+#include "os/instrumentation.h"
 
 namespace rchdroid::analysis {
 
@@ -41,10 +43,10 @@ struct AnalyzerOptions
 };
 
 /**
- * The hooks implementation: dispatch/lifecycle/access events fan out to
- * the enabled checkers and into the timeline ring.
+ * The seam observer: dispatch/lifecycle/access events fan out to the
+ * enabled checkers and into the timeline ring.
  */
-class Analyzer final : public Hooks
+class Analyzer final : public seam::Observer
 {
   public:
     explicit Analyzer(AnalyzerOptions options = {});
@@ -61,15 +63,14 @@ class Analyzer final : public Hooks
     /** One-line "N violations (x races, y lifecycle, ...)" summary. */
     std::string summary() const;
 
-    /** @name Hooks implementation
+    /** @name Observer implementation
      * @{
      */
     void onLooperCreated(Looper &looper) override;
     void onLooperDestroyed(Looper &looper) override;
-    void onMessageSend(Looper &target, std::uint64_t msg_id, SimTime when,
-                       const std::string &tag) override;
-    void onDispatchBegin(Looper &looper, std::uint64_t msg_id,
-                         const std::string &tag) override;
+    void onMessageSend(Looper *target, std::uint64_t msg_id, SimTime,
+                       const std::string &, std::uint64_t &) override;
+    void onDispatchBegin(Looper &looper, const Message &msg) override;
     void onDispatchEnd(Looper &looper) override;
     void onSyncBarrier(const void *scope, const char *label) override;
     void onSharedAccess(const void *object, const char *kind,
@@ -98,23 +99,22 @@ class Analyzer final : public Hooks
 };
 
 /**
- * RAII installer. Owns an Analyzer and installs it as this thread's
- * hooks — unless hooks are already installed on the thread, in which
- * case this guard is inert (installed() == false) and the earlier
- * installation wins. The seam is thread-local, so systems running on
- * parallel experiment workers each get their own analyzer.
+ * RAII installer. Owns an Analyzer and installs it on this thread's
+ * seam — unless an analyzer is already installed there, in which case
+ * this guard is inert (installed() == false) and the earlier installation
+ * wins. The seam is thread-local, so systems running on parallel
+ * experiment workers each get their own analyzer.
  */
 class ScopedAnalyzer
 {
   public:
     explicit ScopedAnalyzer(AnalyzerOptions options = {});
-    ~ScopedAnalyzer();
 
     ScopedAnalyzer(const ScopedAnalyzer &) = delete;
     ScopedAnalyzer &operator=(const ScopedAnalyzer &) = delete;
 
     /** False when another analyzer was already installed. */
-    bool installed() const { return installed_; }
+    bool installed() const { return guard_.has_value(); }
 
     /** This guard's analyzer (inert when !installed()). */
     Analyzer &analyzer() { return analyzer_; }
@@ -122,13 +122,15 @@ class ScopedAnalyzer
 
   private:
     Analyzer analyzer_;
-    bool installed_ = false;
+    std::optional<seam::Scoped> guard_;
 };
 
 /** @name Environment-driven defaults
- * RCHDROID_ANALYSIS=1/0 forces the subsystem on/off (default: on in
- * debug builds, off in release). RCHDROID_ANALYSIS_ABORT=1/0 likewise
- * controls abort-on-violation (default: off).
+ * RCHDROID_ANALYSIS forces the subsystem on (1/true/on/yes) or off
+ * (0/false/off/no); unset, it is on in debug builds and off in release.
+ * RCHDROID_ANALYSIS_ABORT likewise controls abort-on-violation
+ * (default: off). Any other value is reported on stderr and treated as
+ * unset.
  * @{
  */
 bool analysisEnabledByDefault();

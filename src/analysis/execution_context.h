@@ -4,7 +4,7 @@
  * analysis layer's point of view.
  *
  * The Analyzer maintains one of these from the dispatch and app-code
- * hooks; the checkers read it to attribute findings (which thread, which
+ * events; the checkers read it to attribute findings (which thread, which
  * message, inside app code or framework code) without re-deriving the
  * state themselves.
  */
@@ -31,7 +31,7 @@ struct DispatchFrame
 
 /**
  * Tracks the dispatch stack, the app-code nesting depth, and the last
- * virtual time any hook observed.
+ * virtual time any event carried.
  */
 class ExecutionContext
 {

@@ -26,8 +26,8 @@
 namespace rchdroid::analysis {
 
 /**
- * The protocol checker. Driven by the Analyzer from the lifecycle
- * hooks; reports into the shared sink.
+ * The protocol checker. Driven by the Analyzer from the seam's
+ * lifecycle events; reports into the shared sink.
  */
 class LifecycleChecker
 {

@@ -37,8 +37,8 @@
 namespace rchdroid::analysis {
 
 /**
- * The happens-before checker. Driven by the Analyzer from the os-level
- * hooks; reports DataRace violations into the shared sink.
+ * The happens-before checker. Driven by the Analyzer from the seam's
+ * looper and access events; reports DataRace violations into the shared sink.
  */
 class RaceDetector
 {

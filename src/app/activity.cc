@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "os/analysis_hooks.h"
+#include "os/instrumentation.h"
 #include "platform/logging.h"
 
 namespace rchdroid {
@@ -18,8 +18,7 @@ Activity::Activity(std::string component)
 
 Activity::~Activity()
 {
-    if (auto *hooks = analysis::hooks())
-        hooks->onActivityGone(this);
+    seam::emit(&seam::Observer::onActivityGone, this);
 }
 
 void
@@ -58,12 +57,10 @@ Activity::transitionTo(LifecycleState next)
     // Reported before validity is enforced so the protocol checker can
     // record an illegal attempt even when the assert below is the thing
     // that stops it.
-    if (auto *hooks = analysis::hooks()) {
-        hooks->onLifecycleTransition(this, context_.thread, component_,
-                                     instance_id_,
-                                     static_cast<std::uint8_t>(state_),
-                                     static_cast<std::uint8_t>(next));
-    }
+    seam::emit(&seam::Observer::onLifecycleTransition, this,
+               context_.thread, component_, instance_id_,
+               static_cast<std::uint8_t>(state_),
+               static_cast<std::uint8_t>(next));
     RCH_ASSERT(isValidTransition(state_, next), component_, " instance ",
                instance_id_, ": illegal lifecycle transition ",
                lifecycleStateName(state_), " -> ", lifecycleStateName(next));

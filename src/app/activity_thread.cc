@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "os/analysis_hooks.h"
+#include "os/instrumentation.h"
 #include "platform/logging.h"
-#include "platform/metrics.h"
-#include "platform/tracing.h"
 
 namespace rchdroid {
 
@@ -122,11 +120,9 @@ std::shared_ptr<Activity>
 ActivityThread::performLaunchActivity(const LaunchArgs &args,
                                       const Bundle *saved, bool as_sunny)
 {
-    RCH_TRACE_SCOPE_ARG("app.performLaunch", args.component, "app");
+    seam::Span span("app.performLaunch", args.component, "app");
     auto activity = createInstance(args.component, args.token);
     activities_[args.token] = activity;
-    metrics::set(metrics::Gauge::kLiveActivities,
-                 static_cast<double>(activities_.size()));
     runAppCode([&] {
         activity->performCreate(args.config, saved);
         activity->performStart();
@@ -309,16 +305,13 @@ ActivityThread::runAppCode(const std::function<void()> &fn)
     // The app-code scope tells the analysis layer that destroyed-view
     // touches in here are the simulated app bug under study (absorbed by
     // this crash guard), not the framework breaking its own protocol.
-    auto *hooks = analysis::hooks();
-    if (hooks)
-        hooks->onAppCodeBegin();
+    seam::emit(&seam::Observer::onAppCodeBegin);
     try {
         fn();
     } catch (const UiException &e) {
         handleCrash(e);
     }
-    if (hooks)
-        hooks->onAppCodeEnd();
+    seam::emit(&seam::Observer::onAppCodeEnd);
 }
 
 void
@@ -331,7 +324,6 @@ ActivityThread::handleCrash(const UiException &e)
     crash_ = info;
     RCH_LOGE("ActivityThread", params_.process_name,
              " FATAL EXCEPTION: ", e.what());
-    metrics::add(metrics::Counter::kAppCrashes);
     emitEvent(kinds::kAppCrash, e.what());
     // Process death releases everything.
     activities_.clear();

@@ -4,9 +4,9 @@
 
 #include "app/activity.h"
 #include "app/activity_thread.h"
+#include "os/instrumentation.h"
 #include "os/looper.h"
 #include "platform/logging.h"
-#include "platform/tracing.h"
 
 namespace rchdroid {
 
@@ -30,17 +30,8 @@ AsyncTask::execute(SimDuration background_duration,
     // execute site, a step at the worker dispatch (causal_continues), a
     // step at the result post, and the flow-end at onPostExecute.
     std::uint64_t causal_id = 0;
-#if RCHDROID_TRACING
-    if (trace::Tracer *tracer = trace::Tracer::current()) {
-        if (Looper *producer = Looper::current();
-            producer != nullptr && producer->isDispatching()) {
-            causal_id = tracer->newFlowId();
-            tracer->flowAt(trace::Phase::kFlowStart, tracer->currentLane(),
-                           tracer->now(), causal_id, name_,
-                           /*bind_enclosing=*/false);
-        }
-    }
-#endif
+    seam::emit(&seam::Observer::onMessageSend, nullptr, 0,
+               thread_.workerLooper().now(), name_, causal_id);
     Message work;
     work.callback =
         [self, on_post = std::move(on_post_execute), ui_cost, causal_id] {

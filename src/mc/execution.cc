@@ -1,5 +1,7 @@
 #include "mc/execution.h"
 
+#include <optional>
+
 #include "mc/state_hash.h"
 #include "platform/logging.h"
 
@@ -51,20 +53,31 @@ runExecution(const ExecutionOptions &options)
     RCH_ASSERT(options.scenario != nullptr, "runExecution without scenario");
     const Scenario &scenario = *options.scenario;
 
-    // Install the checker's hooks BEFORE the system exists: the
-    // system's own ScopedAnalyzer defers to them, which both routes
-    // every event through our footprint recorder and keeps the
-    // environment's abort-on-violation default from killing the run.
-    McHooks hooks(options.run_analysis);
-    ScopedMcHooks hooks_guard(hooks);
+    // Both observers see the system from its construction. The analyzer
+    // never aborts: the explorer reads its sink after every step instead
+    // of dying on the first (intentionally found) violation. The system
+    // installs no analyzer of its own, so the environment's
+    // abort-on-violation default cannot arm one either.
+    FootprintRecorder footprint;
+    seam::Scoped footprint_guard(footprint);
+    std::optional<analysis::Analyzer> analyzer;
+    std::optional<seam::Scoped> analyzer_guard;
+    if (options.run_analysis) {
+        analysis::AnalyzerOptions analyzer_options;
+        analyzer_options.abort_on_violation = false;
+        analyzer_guard.emplace(analyzer.emplace(analyzer_options));
+    }
 
-    sim::AndroidSystem system(scenario.make_options());
+    sim::SystemOptions system_options = scenario.make_options();
+    system_options.analysis_enabled = false;
+    sim::AndroidSystem system(system_options);
     scenario.setup(system);
+    const analysis::Analyzer *checks = analyzer ? &*analyzer : nullptr;
 
     std::vector<std::unique_ptr<Oracle>> oracles = makeOracles(
         options.oracles.empty() ? defaultOracleNames() : options.oracles);
     for (auto &oracle : oracles)
-        oracle->onStart(system, hooks);
+        oracle->onStart(system, checks);
 
     ExecutionResult result;
     SimScheduler &scheduler = system.scheduler();
@@ -75,7 +88,7 @@ runExecution(const ExecutionOptions &options)
 
     const auto evaluate = [&]() -> bool {
         for (auto &oracle : oracles) {
-            if (auto violation = oracle->afterStep(system, hooks)) {
+            if (auto violation = oracle->afterStep(system, checks)) {
                 result.violations.push_back(*violation);
                 return true;
             }
@@ -122,7 +135,7 @@ runExecution(const ExecutionOptions &options)
         const ChoiceOption &option = choice_options[chosen];
         if (option.kind == ChoiceOption::Kind::EndWindow)
             break;
-        hooks.beginStep();
+        footprint.beginStep();
         if (option.kind == ChoiceOption::Kind::Injection) {
             applyInjection(system, option.injection);
             ++injections_used;
@@ -133,9 +146,9 @@ runExecution(const ExecutionOptions &options)
         ++result.steps;
         if (!result.choice_points.empty()) {
             ChoicePoint &last = result.choice_points.back();
-            last.segment_footprint.insert(hooks.footprint().begin(),
-                                          hooks.footprint().end());
-            last.segment.merge(hooks.segment());
+            last.segment_footprint.insert(footprint.footprint().begin(),
+                                          footprint.footprint().end());
+            last.segment.merge(footprint.segment());
         }
         violated = evaluate();
     }

@@ -106,8 +106,8 @@ mixActivity(std::uint64_t &h, Activity &activity)
     mixI64(h, activity.shadowEnteredAt());
     // Full widget state: text values, progress, list positions — the
     // essence whose loss the oracles detect. Harness-context save:
-    // chargeCpu is a no-op outside a dispatch and shared-access hooks
-    // ignore accesses with no current looper.
+    // chargeCpu is a no-op outside a dispatch and the race detector
+    // ignores accesses with no current looper.
     if (!activity.isDestroyed())
         mixBundle(h, activity.saveInstanceStateNow(/*full=*/true));
     mixByte(h, activity.hasShadowSnapshot() ? 1 : 0);

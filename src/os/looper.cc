@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "os/analysis_hooks.h"
+#include "os/instrumentation.h"
 #include "platform/logging.h"
-#include "platform/metrics.h"
-#include "platform/tracing.h"
 
 namespace rchdroid {
 
@@ -15,16 +13,14 @@ thread_local Looper *Looper::current_ = nullptr;
 Looper::Looper(SimScheduler &scheduler, std::string name)
     : scheduler_(scheduler), name_(std::move(name))
 {
-    if (auto *hooks = analysis::hooks())
-        hooks->onLooperCreated(*this);
+    seam::emit(&seam::Observer::onLooperCreated, *this);
 }
 
 Looper::~Looper()
 {
     if (wakeup_event_ != kInvalidEventId)
         scheduler_.cancel(wakeup_event_);
-    if (auto *hooks = analysis::hooks())
-        hooks->onLooperDestroyed(*this);
+    seam::emit(&seam::Observer::onLooperDestroyed, *this);
 }
 
 void
@@ -32,44 +28,15 @@ Looper::enqueue(Message msg)
 {
     msg.when = std::max(msg.when, scheduler_.now());
     msg.analysis_id = ++next_msg_id_;
-    if (auto *hooks = analysis::hooks())
-        hooks->onMessageSend(*this, msg.analysis_id, msg.when, msg.tag);
-#if RCHDROID_TRACING
-    // Producer side of the causal flow edge. Three cases:
-    //  - posted from inside some looper's dispatch: fresh flow id, and
-    //    the flow-start lands at the post site inside the producer's
-    //    dispatch span (cost-aware clock);
-    //  - pre-set id (explicitly threaded chain, e.g. AsyncTask): the
-    //    producer already emitted its own start, mark the hand-off with
-    //    a step when we are inside a span to land it in;
-    //  - posted from a raw scheduler event carrying a pending causal id
-    //    (a binder leg): inherit silently — the edge spans the binder
-    //    send site to this message's dispatch, so the binder latency
-    //    counts as queue wait.
-    if (trace::Tracer *tracer = trace::Tracer::current()) {
-        Looper *producer = current();
-        const bool in_dispatch = producer != nullptr &&
-                                 producer->isDispatching();
-        if (msg.causal_id != 0) {
-            if (in_dispatch)
-                tracer->flowAt(trace::Phase::kFlowStep, tracer->currentLane(),
-                               tracer->now(), msg.causal_id,
-                               msg.tag.empty() ? "post" : msg.tag,
-                               /*bind_enclosing=*/false);
-        } else if (in_dispatch) {
-            msg.causal_id = tracer->newFlowId();
-            tracer->flowAt(trace::Phase::kFlowStart, tracer->currentLane(),
-                           tracer->now(), msg.causal_id,
-                           msg.tag.empty() ? "post" : msg.tag,
-                           /*bind_enclosing=*/false);
-        } else if (tracer->pendingCausal() != 0) {
-            msg.causal_id = tracer->pendingCausal();
-        }
-    }
-#endif
+    // A message accepted inside a raw scheduler hop that carries a flow
+    // id (a binder leg) inherits it: the edge then spans the binder send
+    // site to this message's dispatch, so the binder latency counts as
+    // queue wait.
+    if (msg.causal_id == 0)
+        msg.causal_id = scheduler_.currentCausal();
+    seam::emit(&seam::Observer::onMessageSend, this, msg.analysis_id,
+               msg.when, msg.tag, msg.causal_id);
     queue_.enqueue(std::move(msg));
-    metrics::observe(metrics::Histogram::kQueueDepth,
-                     static_cast<double>(queue_.size()));
     armWakeup();
 }
 
@@ -152,72 +119,22 @@ Looper::onWakeup()
     dispatching_ = true;
     current_start_ = scheduler_.now();
     current_cost_ = msg->cost;
-    current_tag_ = std::move(msg->tag);
     Looper *previous_current = current();
     setCurrent(this);
-    if (auto *hooks = analysis::hooks())
-        hooks->onDispatchBegin(*this, msg->analysis_id, current_tag_);
-#if RCHDROID_TRACING
-    // One thread-local load each for the registry and the tracer; the
-    // pointers are reused after the callback so the per-dispatch cost
-    // of disabled instrumentation stays at two loads + two branches.
-    metrics::MetricsRegistry *registry = metrics::MetricsRegistry::current();
-    if (registry) {
-        registry->add(metrics::Counter::kMessagesDispatched);
-        registry->observe(
-            metrics::Histogram::kDispatchLatencyUs,
-            static_cast<double>(current_start_ - msg->when) / 1000.0);
-    }
-    // Mirror the dispatch as a span on this looper's trace lane. The B
-    // lands at the dispatch start; nested TraceScopes inside the
-    // callback stamp themselves with the cost-aware clock, so they nest
-    // inside [start, cost end] with real widths.
-    trace::Tracer *tracer = trace::Tracer::current();
-    std::uint32_t previous_lane = 0;
-    if (tracer) {
-        previous_lane = tracer->currentLane();
-        tracer->setCurrentLane(tracer->laneId(name_));
-        tracer->beginOnAt(tracer->currentLane(), current_start_,
-                          current_tag_.empty() ? "message" : current_tag_,
-                          "dispatch");
-        // Consumer side of the causal edge: bound to the dispatch span
-        // just opened, at its begin, so the profiler reads queue wait
-        // as (consumer span begin - producer flow ts).
-        if (msg->causal_id != 0) {
-            tracer->flowAt(msg->causal_continues ? trace::Phase::kFlowStep
-                                                 : trace::Phase::kFlowEnd,
-                           tracer->currentLane(), current_start_,
-                           msg->causal_id,
-                           current_tag_.empty() ? "message" : current_tag_,
-                           /*bind_enclosing=*/true);
-        }
-    }
-#endif
+    seam::emit(&seam::Observer::onDispatchBegin, *this, *msg);
 
     msg->callback();
 
-    if (auto *hooks = analysis::hooks())
-        hooks->onDispatchEnd(*this);
+    seam::emit(&seam::Observer::onDispatchEnd, *this);
     setCurrent(previous_current);
     busy_until_ = current_start_ + current_cost_;
     total_busy_ += current_cost_;
     ++dispatched_;
-#if RCHDROID_TRACING
-    if (registry) {
-        registry->observe(metrics::Histogram::kDispatchCostUs,
-                          static_cast<double>(current_cost_) / 1000.0);
-    }
-    if (tracer) {
-        tracer->endOnAt(tracer->currentLane(), busy_until_);
-        tracer->setCurrentLane(previous_lane);
-    }
-#endif
     if (observer_ && current_cost_ > 0) {
         observer_->onBusyInterval(name_, current_start_, busy_until_,
-                                  current_tag_);
+                                  msg->tag);
     }
     dispatching_ = false;
-    current_tag_.clear();
     armWakeup();
 }
 

@@ -110,9 +110,6 @@ class Looper
     /** Read-only pending queue (model-checker fingerprints, dumpsys). */
     const MessageQueue &queue() const { return queue_; }
 
-    /** Tag of the message currently dispatching ("" outside dispatch). */
-    const std::string &currentTag() const { return current_tag_; }
-
     /** Total messages dispatched (diagnostics). */
     std::uint64_t dispatchedMessages() const { return dispatched_; }
 
@@ -142,7 +139,6 @@ class Looper
     /** Start time and accumulated cost of the in-flight dispatch. */
     SimTime current_start_ = 0;
     SimDuration current_cost_ = 0;
-    std::string current_tag_;
     std::uint64_t dispatched_ = 0;
     SimDuration total_busy_ = 0;
     /** Source of per-message analysis ids (see Message::analysis_id). */

@@ -44,7 +44,8 @@ struct Message
     std::string tag;
     /**
      * Looper-assigned id correlating this message's enqueue with its
-     * dispatch in the analysis hooks; 0 before the looper accepts it.
+     * dispatch on the instrumentation seam; 0 before the looper accepts
+     * it.
      */
     std::uint64_t analysis_id = 0;
     /**
@@ -56,10 +57,11 @@ struct Message
      * Tracer flow id stitching this message's post site to its dispatch
      * begin (trace::Tracer::newFlowId); 0 = no causal edge. Travels in
      * the payload slab with the rest of the message, so slot recycling
-     * can never attach an edge to a slot's new occupant. Assigned by
-     * Looper::enqueue when a tracer is installed; pre-set by explicitly
-     * threaded chains (AsyncTask), whose flow-start the producer already
-     * emitted itself.
+     * can never attach an edge to a slot's new occupant. Assigned at
+     * enqueue by the seam's tracer observer, or inherited from the raw
+     * scheduler hop the enqueue runs in; pre-set by explicitly threaded
+     * chains (AsyncTask), whose flow-start the producer already emitted
+     * itself.
      */
     std::uint64_t causal_id = 0;
     /**

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "platform/logging.h"
-#include "platform/tracing.h"
 
 namespace rchdroid {
 
@@ -125,23 +124,12 @@ SimScheduler::dispatchSlot(std::uint32_t slot, SimTime when)
     releaseSlot(slot);
     now_ = when;
     ++executed_;
-#if RCHDROID_TRACING
-    if (causal_id != 0) {
-        if (trace::Tracer *tracer = trace::Tracer::current()) {
-            // Carry the flow id across the raw hop: any message a
-            // looper accepts inside this callback inherits it (see
-            // Looper::enqueue). Save/restore keeps nesting safe.
-            const std::uint64_t previous = tracer->pendingCausal();
-            tracer->setPendingCausal(causal_id);
-            fn();
-            tracer->setPendingCausal(previous);
-            return;
-        }
-    }
-#else
-    (void)causal_id;
-#endif
+    // Carry the flow id across the raw hop: any message a looper accepts
+    // inside this callback inherits it (see Looper::enqueue).
+    // Save/restore keeps nesting safe.
+    const std::uint64_t previous = std::exchange(current_causal_, causal_id);
     fn();
+    current_causal_ = previous;
 }
 
 bool

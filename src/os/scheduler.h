@@ -71,11 +71,11 @@ class SimScheduler
      * Schedule fn to run after delay (>= 0) from now.
      *
      * A non-zero `causal_id` (a trace::Tracer flow id) rides in the
-     * event's slab slot and is installed as the tracer's pending causal
-     * for the duration of the callback: a Looper message enqueued from
-     * inside it inherits the id, stitching a raw-scheduler hop (the
-     * binder legs) into the cross-thread flow graph. Opt-in and
-     * explicit — wakeups and other infrastructure events pass 0.
+     * event's slab slot and is currentCausal() for the duration of the
+     * callback: a Looper message enqueued from inside it inherits the
+     * id, stitching a raw-scheduler hop (the binder legs) into the
+     * cross-thread flow graph. Opt-in and explicit — wakeups and other
+     * infrastructure events pass 0.
      */
     EventId schedule(SimDuration delay, std::function<void()> fn,
                      EventLabel label = {}, std::uint64_t causal_id = 0);
@@ -83,6 +83,9 @@ class SimScheduler
     /** Schedule fn at an absolute virtual time (>= now). */
     EventId scheduleAt(SimTime when, std::function<void()> fn,
                        EventLabel label = {}, std::uint64_t causal_id = 0);
+
+    /** Flow id of the event whose callback is running; 0 = none. */
+    std::uint64_t currentCausal() const { return current_causal_; }
 
     /**
      * Cancel a pending event.
@@ -189,6 +192,7 @@ class SimScheduler
     std::uint64_t next_seq_ = 1;
     EventId next_id_ = 1;
     std::uint64_t executed_ = 0;
+    std::uint64_t current_causal_ = 0;
     std::vector<HeapEntry> heap_;
     /** Closure slab; slots listed in free_slots_ are vacant. */
     std::vector<EventSlot> slots_;

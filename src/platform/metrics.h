@@ -5,14 +5,14 @@
  * hit/miss, shadow-GC reclaim reasons, view-map hit rate, lazy-migration
  * counts per view type, message-queue depth and dispatch latency.
  *
- * Usage mirrors the analysis layer's scoped-install idiom: a consumer
- * (shell, example, test) creates a MetricsRegistry and installs it with
- * ScopedMetricsRegistry; instrumented framework code reports through the
- * null-safe free helpers (metrics::add, metrics::observe, ...), which
- * are a single thread-local load + branch when no registry is installed
- * and compile out entirely under RCHDROID_TRACING=0. The thread-local
- * seam keeps independent simulations isolated under the bench
- * ParallelRunner, exactly like Looper::current().
+ * A consumer (shell, example, test) creates a MetricsRegistry and
+ * installs it with ScopedMetricsRegistry, which points the
+ * instrumentation seam's metrics observer (os/instrumentation.h) at it.
+ * The framework never calls the registry: the observer derives every
+ * counter and histogram from the events the seam carries, and compiles
+ * out under RCHDROID_TRACING=0. The thread-local install keeps
+ * independent simulations isolated under the bench ParallelRunner,
+ * exactly like Looper::current().
  */
 #ifndef RCHDROID_PLATFORM_METRICS_H
 #define RCHDROID_PLATFORM_METRICS_H
@@ -196,7 +196,9 @@ class MetricsRegistry
 
 /**
  * RAII install/restore of the thread's registry (nestable; the previous
- * registry is restored on destruction).
+ * registry is restored on destruction). attach() also points the
+ * instrumentation seam's metrics observer at it; it is defined with that
+ * observer in os/instrumentation.cc.
  */
 class ScopedMetricsRegistry
 {
@@ -204,59 +206,18 @@ class ScopedMetricsRegistry
     explicit ScopedMetricsRegistry(MetricsRegistry *registry)
         : previous_(MetricsRegistry::current())
     {
-        MetricsRegistry::setCurrent(registry);
+        attach(registry);
     }
-    ~ScopedMetricsRegistry() { MetricsRegistry::setCurrent(previous_); }
+    ~ScopedMetricsRegistry() { attach(previous_); }
 
     ScopedMetricsRegistry(const ScopedMetricsRegistry &) = delete;
     ScopedMetricsRegistry &operator=(const ScopedMetricsRegistry &) = delete;
 
   private:
+    static void attach(MetricsRegistry *registry);
+
     MetricsRegistry *previous_;
 };
-
-// Null-safe reporting helpers: the instrumentation sites call these.
-// With RCHDROID_TRACING=0 they are empty inline functions the optimiser
-// deletes; built in but with no registry installed they cost one
-// thread-local load and a predictable branch.
-#if RCHDROID_TRACING
-
-inline void
-add(Counter c, std::uint64_t n = 1)
-{
-    if (MetricsRegistry *r = MetricsRegistry::current())
-        r->add(c, n);
-}
-
-inline void
-addLabeled(Counter c, std::string_view label, std::uint64_t n = 1)
-{
-    if (MetricsRegistry *r = MetricsRegistry::current())
-        r->addLabeled(c, label, n);
-}
-
-inline void
-set(Gauge g, double value)
-{
-    if (MetricsRegistry *r = MetricsRegistry::current())
-        r->set(g, value);
-}
-
-inline void
-observe(Histogram h, double value)
-{
-    if (MetricsRegistry *r = MetricsRegistry::current())
-        r->observe(h, value);
-}
-
-#else // !RCHDROID_TRACING
-
-inline void add(Counter, std::uint64_t = 1) {}
-inline void addLabeled(Counter, std::string_view, std::uint64_t = 1) {}
-inline void set(Gauge, double) {}
-inline void observe(Histogram, double) {}
-
-#endif // RCHDROID_TRACING
 
 } // namespace rchdroid::metrics
 

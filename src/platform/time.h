@@ -39,6 +39,7 @@ constexpr SimDuration minutes(std::int64_t m) { return m * 60'000'000'000; }
  * @{
  */
 constexpr double toMillisF(SimDuration d) { return static_cast<double>(d) / 1e6; }
+constexpr double toMicrosF(SimDuration d) { return static_cast<double>(d) / 1e3; }
 constexpr double toSecondsF(SimDuration d) { return static_cast<double>(d) / 1e9; }
 constexpr std::int64_t toMillis(SimDuration d) { return d / 1'000'000; }
 /** @} */

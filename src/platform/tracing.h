@@ -5,7 +5,9 @@
  *
  * Model:
  *  - one Tracer per diagnostic run, installed on the simulation thread
- *    with ScopedTracer (same idiom as the analysis layer);
+ *    with ScopedTracer, which also installs the tracer's observer on the
+ *    instrumentation seam (os/instrumentation.h) — the framework never
+ *    calls the tracer itself;
  *  - a "process" (pid) per AndroidSystem instance — sequential systems
  *    in one binary (e.g. quickstart runs Restart then RchDroid) restart
  *    sim time at zero, and separate pids keep every lane's timestamps
@@ -24,9 +26,9 @@
  * message's accumulated-cost end, which gives nested spans real
  * durations instead of zero-width ticks.
  *
- * Hot-path instrumentation goes through the RCH_TRACE_* macros below,
- * which vanish under RCHDROID_TRACING=0; the classes themselves stay
- * compiled so the shell/example plumbing builds in every configuration.
+ * RCHDROID_TRACING=0 compiles the seam's tracer observer out; the
+ * classes here stay compiled so the shell/example plumbing builds in
+ * every configuration.
  */
 #ifndef RCHDROID_PLATFORM_TRACING_H
 #define RCHDROID_PLATFORM_TRACING_H
@@ -153,15 +155,6 @@ class Tracer
     void flowAt(Phase phase, std::uint32_t lane, SimTime ts, std::uint64_t id,
                 const std::string &name, bool bind_enclosing,
                 const char *cat = "flow");
-    /**
-     * Ambient causal id carried across a raw scheduler hop (the binder
-     * legs, which bypass MessageQueue): SimScheduler sets it around an
-     * event whose slot carries a causal id, and Looper::enqueue lets a
-     * message posted under it inherit the id silently — the flow-start
-     * was already emitted at the binder send site.
-     */
-    std::uint64_t pendingCausal() const { return pending_causal_; }
-    void setPendingCausal(std::uint64_t id) { pending_causal_ = id; }
     /** @} */
 
     std::size_t eventCount() const { return events_.size(); }
@@ -209,7 +202,6 @@ class Tracer
     std::uint32_t next_pid_ = 0;
     /** Flow ids start at 1: 0 means "no causal edge" everywhere. */
     std::uint64_t next_flow_id_ = 1;
-    std::uint64_t pending_causal_ = 0;
 
     /**
      * Thread-local install, like Looper::current_: each parallel bench
@@ -219,89 +211,30 @@ class Tracer
     static thread_local Tracer *current_;
 };
 
-/** RAII install/restore of the thread's tracer (nestable). */
+/**
+ * RAII install/restore of the thread's tracer (nestable: the previous
+ * tracer is restored on destruction). attach() also points the
+ * instrumentation seam's tracer observer at it; it is defined with that
+ * observer in os/instrumentation.cc.
+ */
 class ScopedTracer
 {
   public:
     explicit ScopedTracer(Tracer *tracer) : previous_(Tracer::current())
     {
-        Tracer::setCurrent(tracer);
+        attach(tracer);
     }
-    ~ScopedTracer() { Tracer::setCurrent(previous_); }
+    ~ScopedTracer() { attach(previous_); }
 
     ScopedTracer(const ScopedTracer &) = delete;
     ScopedTracer &operator=(const ScopedTracer &) = delete;
 
   private:
+    static void attach(Tracer *tracer);
+
     Tracer *previous_;
 };
 
-/**
- * RAII duration span on whatever lane is current at construction; a
- * no-op (one thread-local load) when no tracer is installed. The end
- * event lands on the *same* lane even if the current lane changed.
- */
-class TraceScope
-{
-  public:
-    explicit TraceScope(const char *name, const char *cat = "sim")
-        : tracer_(Tracer::current())
-    {
-        if (tracer_) {
-            lane_ = tracer_->currentLane();
-            tracer_->beginOnAt(lane_, tracer_->now(), name, cat);
-        }
-    }
-    TraceScope(const char *name, std::string arg, const char *cat = "sim")
-        : tracer_(Tracer::current())
-    {
-        if (tracer_) {
-            lane_ = tracer_->currentLane();
-            tracer_->beginOnAt(lane_, tracer_->now(), name, cat,
-                               std::move(arg));
-        }
-    }
-    ~TraceScope()
-    {
-        if (tracer_)
-            tracer_->endOnAt(lane_, tracer_->now());
-    }
-
-    TraceScope(const TraceScope &) = delete;
-    TraceScope &operator=(const TraceScope &) = delete;
-
-  private:
-    Tracer *tracer_;
-    std::uint32_t lane_ = 0;
-};
-
 } // namespace rchdroid::trace
-
-// Instrumentation macros: the only tracer touchpoints on framework hot
-// paths. They disappear entirely under RCHDROID_TRACING=0.
-#define RCH_TRACE_CAT2_(a, b) a##b
-#define RCH_TRACE_CAT_(a, b) RCH_TRACE_CAT2_(a, b)
-
-#if RCHDROID_TRACING
-/** Span covering the rest of the enclosing block. */
-#define RCH_TRACE_SCOPE(name, cat)                                            \
-    ::rchdroid::trace::TraceScope RCH_TRACE_CAT_(rch_trace_scope_,            \
-                                                 __COUNTER__)(name, cat)
-/** Same, with a free-form detail arg. */
-#define RCH_TRACE_SCOPE_ARG(name, arg, cat)                                   \
-    ::rchdroid::trace::TraceScope RCH_TRACE_CAT_(rch_trace_scope_,            \
-                                                 __COUNTER__)(name, arg, cat)
-/** Instant marker at the cost-aware now. */
-#define RCH_TRACE_INSTANT(name, arg)                                          \
-    do {                                                                      \
-        if (::rchdroid::trace::Tracer *rch_trace_t_ =                         \
-                ::rchdroid::trace::Tracer::current())                         \
-            rch_trace_t_->instant(name, arg);                                 \
-    } while (0)
-#else
-#define RCH_TRACE_SCOPE(name, cat) ((void)0)
-#define RCH_TRACE_SCOPE_ARG(name, arg, cat) ((void)0)
-#define RCH_TRACE_INSTANT(name, arg) ((void)0)
-#endif
 
 #endif // RCHDROID_PLATFORM_TRACING_H

@@ -1,7 +1,7 @@
 #include "rch/lazy_migrator.h"
 
+#include "os/instrumentation.h"
 #include "platform/logging.h"
-#include "platform/metrics.h"
 
 namespace rchdroid {
 
@@ -28,22 +28,21 @@ LazyMigrator::onViewInvalidated(Activity &activity, View &view)
     // fixed interception overhead applies once per UI dispatch (one
     // async-result batch), the per-view cost on every migrated view.
     Looper *looper = activity.context().ui_looper;
+    bool new_batch = false;
     if (looper && looper->isDispatching()) {
         const std::uint64_t dispatch_seq = looper->dispatchedMessages();
         if (dispatch_seq != last_dispatch_seq_ || !seen_dispatch_) {
             looper->consumeCpu(activity.context().costs.migrate_batch_base);
             last_dispatch_seq_ = dispatch_seq;
             seen_dispatch_ = true;
-            metrics::add(metrics::Counter::kMigrateBatches);
+            new_batch = true;
         }
         looper->consumeCpu(activity.context().costs.migrate_per_view);
     }
     view.applyMigration(*peer);
     ++migrated_;
     ++stats_.views_migrated;
-    // Which view types the lazy policy actually touches (Table 1 is
-    // priced per typed attribute set, so the type mix matters).
-    metrics::addLabeled(metrics::Counter::kViewsMigrated, view.typeName());
+    seam::emit(&seam::Observer::onViewMigrated, view.typeName(), new_batch);
     migrating_ = false;
 }
 

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 
-#include "os/analysis_hooks.h"
+#include "os/instrumentation.h"
 #include "platform/logging.h"
-#include "platform/metrics.h"
-#include "platform/tracing.h"
 
 namespace rchdroid {
 
@@ -68,7 +66,7 @@ RchClientHandler::onConfigurationChanged(ActivityThread &thread,
         return;
     }
     ++stats_.runtime_changes;
-    RCH_TRACE_SCOPE_ARG("rch.shadowDemotion", activity->component(), "rch");
+    seam::Span span("rch.shadowDemotion", activity->component(), "rch");
 
     // Detach any stale listener before the snapshot; the instance keeps
     // serving async callbacks in the shadow state, where the migrator
@@ -78,7 +76,7 @@ RchClientHandler::onConfigurationChanged(ActivityThread &thread,
     // Step 1 (Fig. 3): snapshot state and enter the shadow state.
     thread.runAppCode([&] { activity->enterShadowState(); });
     gc_policy_.noteShadowEntered(thread.scheduler().now());
-    metrics::add(metrics::Counter::kShadowEntered);
+    seam::emit(&seam::Observer::onShadowEntered);
     activity->setInvalidationListener(&migrator_);
     armGcTimer(thread);
 
@@ -120,22 +118,19 @@ RchClientHandler::performInitLaunch(ActivityThread &thread,
     const Bundle *saved =
         (shadow && shadow->hasShadowSnapshot()) ? &shadow->shadowSnapshot()
                                                 : nullptr;
-    RCH_TRACE_SCOPE_ARG("rch.initLaunch", args.component, "rch");
+    seam::Span span("rch.initLaunch", args.component, "rch");
     auto sunny = thread.performLaunchActivity(args, saved, /*as_sunny=*/true);
     ++stats_.init_launches;
 
     if (shadow) {
-        RCH_TRACE_SCOPE("rch.buildMapping", "rch");
+        seam::Span mapping_span("rch.buildMapping", {}, "rch");
         const MappingResult mapping = mapper_.buildMapping(*sunny, *shadow);
-        stats_.views_mapped += static_cast<std::uint64_t>(mapping.wired);
-        stats_.views_unmatched +=
+        const auto wired = static_cast<std::uint64_t>(mapping.wired);
+        const auto unmatched =
             static_cast<std::uint64_t>(std::max(mapping.unmatched, 0));
-        metrics::add(metrics::Counter::kMapWired,
-                     static_cast<std::uint64_t>(mapping.wired));
-        metrics::add(metrics::Counter::kMapUnmatched,
-                     static_cast<std::uint64_t>(std::max(mapping.unmatched, 0)));
-        metrics::observe(metrics::Histogram::kMappedViewsPerBuild,
-                         static_cast<double>(mapping.wired));
+        stats_.views_mapped += wired;
+        stats_.views_unmatched += unmatched;
+        seam::emit(&seam::Observer::onViewMapBuilt, wired, unmatched);
         shadow->setInvalidationListener(&migrator_);
     }
     thread.notifyResumedAtCostEnd(args.token);
@@ -150,12 +145,11 @@ RchClientHandler::performFlip(ActivityThread &thread, const LaunchArgs &args)
                "flip target is not a shadow instance");
     RCH_ASSERT(outgoing, "flip source instance missing");
     ++stats_.flips;
-    RCH_TRACE_SCOPE_ARG("rch.flipSync", incoming->component(), "rch");
+    seam::Span span("rch.flipSync", incoming->component(), "rch");
     // The flip is a full synchronisation point between the instances:
     // everything the displaced foreground did is ordered before anything
     // the incoming instance does from here on.
-    if (auto *hooks = analysis::hooks())
-        hooks->onSyncBarrier(&thread, "coinFlip");
+    seam::emit(&seam::Observer::onSyncBarrier, &thread, "coinFlip");
 
     Looper &ui = thread.uiLooper();
     if (ui.isDispatching())
@@ -217,20 +211,19 @@ RchClientHandler::doGcForShadowIfNeeded(ActivityThread &thread)
     auto shadow = thread.shadowActivity();
     if (!shadow)
         return false;
-    RCH_TRACE_SCOPE_ARG("rch.gcCheck", shadow->component(), "rch");
+    seam::Span span("rch.gcCheck", shadow->component(), "rch");
     const SimTime now = thread.scheduler().now();
     const GcDecision decision =
         gc_policy_.decide(now, shadow->shadowEnteredAt());
+    seam::emit(&seam::Observer::onShadowGcCheck,
+               decision == GcDecision::Collect,
+               decision == GcDecision::KeepYoung);
     if (decision != GcDecision::Collect) {
         ++stats_.gc_keeps;
-        metrics::add(decision == GcDecision::KeepYoung
-                         ? metrics::Counter::kGcKeptYoung
-                         : metrics::Counter::kGcKeptFrequent);
         return false;
     }
     releaseShadow(thread, shadow);
     ++stats_.gc_collections;
-    metrics::add(metrics::Counter::kGcCollected);
     return true;
 }
 
@@ -242,8 +235,7 @@ RchClientHandler::releaseShadow(ActivityThread &thread,
     shadow->setInvalidationListener(nullptr);
     // GC barrier: the collection orders every migration the shadow
     // instance performed before any later work observes its absence.
-    if (auto *hooks = analysis::hooks())
-        hooks->onSyncBarrier(&thread, "shadowGc");
+    seam::emit(&seam::Observer::onSyncBarrier, &thread, "shadowGc");
     thread.runAppCode([&] { shadow->performDestroy(); });
     thread.dropActivity(token);
     if (auto foreground = thread.foregroundActivity()) {

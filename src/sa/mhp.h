@@ -182,7 +182,7 @@ struct StepClass
      * nothing. */
     bool global = false;
 
-    /** The runtime key the mc hooks record: "<looper>#<tag>". */
+    /** The runtime key the mc footprint records: "<looper>#<tag>". */
     std::string key() const { return looper + "#" + tag; }
 };
 

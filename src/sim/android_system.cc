@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "os/instrumentation.h"
 #include "platform/logging.h"
 #include "platform/tracing.h"
 
@@ -69,27 +70,19 @@ class AndroidSystem::AtmsProxy final : public ActivityManager
     void
     defer(std::function<void()> fn)
     {
+        // The client send site (inside the app dispatch that issued the
+        // IActivityTaskManager call); the ATMS-side message inherits the
+        // hop's flow id through the scheduler slot.
+        static const std::string kBinder = "binder";
+        const SimDuration delay = latency_.oneWay(0);
         std::uint64_t causal_id = 0;
-#if RCHDROID_TRACING
-        // Flow-start at the client send site (inside the app dispatch
-        // that issued the IActivityTaskManager call); the ATMS-side
-        // message inherits the id through the scheduler slot.
-        if (trace::Tracer *tracer = trace::Tracer::current()) {
-            if (Looper *producer = Looper::current();
-                producer != nullptr && producer->isDispatching()) {
-                causal_id = tracer->newFlowId();
-                tracer->flowAt(trace::Phase::kFlowStart,
-                               tracer->currentLane(), tracer->now(),
-                               causal_id, "binder",
-                               /*bind_enclosing=*/false);
-            }
-        }
-#endif
+        seam::emit(&seam::Observer::onMessageSend, nullptr, 0,
+                   scheduler_.now() + delay, kBinder, causal_id);
         // Labeled "binder" for the model checker's NondetSeam. Several
         // binder legs may be tied at one instant; they share this label,
         // which the explorer treats as conservatively dependent (binder
         // delivery order towards the ATMS is a real ordering choice).
-        scheduler_.schedule(latency_.oneWay(0), std::move(fn),
+        scheduler_.schedule(delay, std::move(fn),
                             EventLabel{this, "binder"}, causal_id);
     }
 

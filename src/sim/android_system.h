@@ -229,10 +229,10 @@ class AndroidSystem
     class AtmsProxy;
 
     /**
-     * Declared first so it is destroyed last: hooks must stay installed
-     * while apps_/atms_ tear down (their destructors report object-gone
-     * events). Only the scheduler and options outlive it, and neither
-     * touches the hooks.
+     * Declared first so it is destroyed last: the analyzer must stay
+     * installed while apps_/atms_ tear down (their destructors report
+     * object-gone events). Only the scheduler and options outlive it,
+     * and neither reports to the seam.
      */
     std::unique_ptr<analysis::ScopedAnalyzer> analysis_guard_;
     SystemOptions options_;

@@ -3,9 +3,8 @@
 #include <fstream>
 #include <sstream>
 
-#include "platform/metrics.h"
+#include "os/instrumentation.h"
 #include "platform/strings.h"
-#include "platform/tracing.h"
 
 namespace rchdroid::sim {
 
@@ -17,50 +16,28 @@ TraceRecorder::record(const TelemetryEvent &event)
         counts_.resize(id + 1, 0);
     ++counts_[id];
 
-#if RCHDROID_TRACING
-    trace::Tracer *tracer = trace::Tracer::current();
-    // Instants use the cost-aware clock so they sit inside whatever
-    // span is currently open on the lane; the async episode endpoints
-    // below use the event's semantic time instead.
-    if (tracer)
-        tracer->instant(event.kind.str(), event.detail);
-#endif
-
+    seam::EpisodeChange change;
+    const bool open = !episodes_.empty() && !episodes_.back().end &&
+                      !episodes_.back().aborted;
+    const auto last = static_cast<std::int64_t>(episodes_.size()) - 1;
     if (event.kind == kinds::kAtmsConfigChange) {
-        if (!episodes_.empty() && !episodes_.back().end &&
-            !episodes_.back().aborted) {
+        if (open) {
             // The previous handling never reached its resume: close it
             // as incomplete so this change's episode cannot steal the
             // eventual resume event (the mis-pairing bug).
             episodes_.back().aborted = true;
-            metrics::add(metrics::Counter::kEpisodesAborted);
-#if RCHDROID_TRACING
-            if (tracer)
-                tracer->asyncEnd("episode", episodes_.size() - 1, event.time,
-                                 "aborted");
-#endif
+            change.closed = last;
+            change.aborted = true;
         }
         episodes_.push_back(HandlingEpisode{event.time, std::nullopt, false});
-#if RCHDROID_TRACING
-        if (tracer)
-            tracer->asyncBegin("episode", episodes_.size() - 1, "rch.episode",
-                               event.time, event.detail);
-#endif
-    } else if (event.kind == kinds::kAtmsActivityResumed) {
-        if (!episodes_.empty() && !episodes_.back().end &&
-            !episodes_.back().aborted) {
-            HandlingEpisode &episode = episodes_.back();
-            episode.end = event.time;
-            metrics::add(metrics::Counter::kEpisodesCompleted);
-            metrics::observe(metrics::Histogram::kHandlingMs,
-                             episode.durationMs());
-#if RCHDROID_TRACING
-            if (tracer)
-                tracer->asyncEnd("episode", episodes_.size() - 1, event.time);
-#endif
-        }
+        change.opened = last + 1;
+    } else if (event.kind == kinds::kAtmsActivityResumed && open) {
+        episodes_.back().end = event.time;
+        change.closed = last;
+        change.handling_ms = episodes_.back().durationMs();
     }
     events_.push_back(event);
+    seam::emit(&seam::Observer::onTelemetry, event, change);
 }
 
 std::vector<TelemetryEvent>

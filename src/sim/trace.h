@@ -50,10 +50,9 @@ struct HandlingEpisode
  * made long-lived systems quadratic in their own history. Counts are
  * indexed by the interned kind id — no string hashing on the hot path.
  *
- * When a trace::Tracer is installed on the thread, record() mirrors the
- * stream into it: an instant marker per event plus an async "episode"
- * span from each configChange to its resume (or abort), which is how a
- * rotation shows up as one bar across Looper lanes in Perfetto.
+ * record() republishes every event on the instrumentation seam
+ * (os/instrumentation.h) together with the episode it closed or opened;
+ * the tracer and metrics observers draw and count from that.
  */
 class TraceRecorder final : public TelemetrySink
 {

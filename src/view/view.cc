@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "os/analysis_hooks.h"
+#include "os/instrumentation.h"
 #include "os/looper.h"
 #include "platform/logging.h"
 #include "view/view_group.h"
@@ -30,8 +30,7 @@ View::View(std::string id) : id_(std::move(id))
 
 View::~View()
 {
-    if (auto *hooks = analysis::hooks())
-        hooks->onObjectGone(this);
+    seam::emit(&seam::Observer::onObjectGone, this);
 }
 
 void
@@ -59,9 +58,9 @@ View::markDestroyed()
 void
 View::invalidate()
 {
-    auto *hooks = analysis::hooks();
-    if (destroyed_ && hooks)
-        hooks->onDestroyedViewMutation(this, typeName(), id_);
+    if (destroyed_)
+        seam::emit(&seam::Observer::onDestroyedViewMutation, this,
+                   typeName(), id_);
     requireAlive("invalidate");
     // Android's thread-affinity rule: only the activity (UI) thread may
     // mutate the tree. Mutations outside any dispatch (direct test
@@ -80,8 +79,9 @@ View::invalidate()
     // mutation is already rejected (and studied) as a simulated crash,
     // so the race detector's job is the accesses Android permits but
     // does not order — above all wrong-thread *reads*.
-    if (hooks)
-        hooks->onSharedAccess(this, typeName(), id_, /*is_write=*/true);
+    if (seam::observers())
+        seam::emit(&seam::Observer::onSharedAccess, this, typeName(), id_,
+                   /*is_write=*/true);
     dirty_ = true;
     ++invalidate_count_;
     if (host_)
@@ -91,8 +91,9 @@ View::invalidate()
 void
 View::noteSharedRead() const
 {
-    if (auto *hooks = analysis::hooks())
-        hooks->onSharedAccess(this, typeName(), id_, /*is_write=*/false);
+    if (seam::observers())
+        seam::emit(&seam::Observer::onSharedAccess, this, typeName(), id_,
+                   /*is_write=*/false);
 }
 
 void

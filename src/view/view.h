@@ -217,8 +217,8 @@ class View
     void requireAlive(const char *operation) const;
 
     /**
-     * Report a read of this view's migratable state to the analysis
-     * hooks (no-op when analysis is off). Widget getters whose values
+     * Report a read of this view's migratable state to the
+     * instrumentation seam (no-op when nothing observes). Widget getters whose values
      * feed app logic call this so the race detector sees cross-thread
      * reads — the silent half of the concurrent-update bugs the paper's
      * async scenarios produce.

@@ -168,9 +168,9 @@ TEST(KnownBadWorkloads, SystemInstallsAnalyzerUnlessOneIsPresent)
         options.analysis.abort_on_violation = false;
         sim::AndroidSystem device(options);
         ASSERT_NE(device.analyzer(), nullptr);
-        EXPECT_EQ(hooks(), device.analyzer());
+        EXPECT_EQ(seam::observers(), device.analyzer());
     }
-    EXPECT_EQ(hooks(), nullptr);
+    EXPECT_EQ(seam::observers(), nullptr);
     {
         ScopedAnalyzer guard(recordingOptions());
         sim::SystemOptions options;
@@ -178,6 +178,6 @@ TEST(KnownBadWorkloads, SystemInstallsAnalyzerUnlessOneIsPresent)
         sim::AndroidSystem device(options);
         // The test's analyzer was first; the system defers to it.
         EXPECT_EQ(device.analyzer(), nullptr);
-        EXPECT_EQ(hooks(), &guard.analyzer());
+        EXPECT_EQ(seam::observers(), &guard.analyzer());
     }
 }

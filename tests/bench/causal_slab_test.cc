@@ -108,13 +108,9 @@ TEST(CausalSlab, MessageQueueRecyclingNeverLeaksCausalId)
     EXPECT_GT(removed, 0u);
 }
 
-#if RCHDROID_TRACING
-
-TEST(CausalSlab, SchedulerSlotRecyclingNeverLeaksPendingCausal)
+TEST(CausalSlab, SchedulerSlotRecyclingNeverLeaksCurrentCausal)
 {
     std::mt19937 rng(0xca05a1u);
-    trace::Tracer tracer;
-    trace::ScopedTracer guard(&tracer);
     SimScheduler scheduler;
 
     // Each callback records the ambient causal id it observed; events
@@ -142,10 +138,9 @@ TEST(CausalSlab, SchedulerSlotRecyclingNeverLeaksPendingCausal)
             observations.push_back({causal});
             const EventId id = scheduler.schedule(
                 std::uniform_int_distribution<SimDuration>(0, 20)(rng),
-                [&observations, index] {
+                [&observations, &scheduler, index] {
                     observations[index].ran = true;
-                    observations[index].seen =
-                        trace::Tracer::current()->pendingCausal();
+                    observations[index].seen = scheduler.currentCausal();
                 },
                 EventLabel{}, causal);
             if (std::uniform_int_distribution<int>(0, 2)(rng) == 0)
@@ -168,12 +163,14 @@ TEST(CausalSlab, SchedulerSlotRecyclingNeverLeaksPendingCausal)
         }
         EXPECT_TRUE(obs.ran) << "live event never dispatched";
         EXPECT_EQ(obs.seen, obs.expected)
-            << "recycled scheduler slot leaked a pending causal id";
+            << "recycled scheduler slot leaked a causal id";
         ++ran;
     }
     EXPECT_GT(ran, 50u);
     EXPECT_GT(recycled, 10u) << "no cancellation pressure on the slab";
 }
+
+#if RCHDROID_TRACING
 
 TEST(CausalSlab, FlowEdgesBindEachPostToItsOwnDispatch)
 {

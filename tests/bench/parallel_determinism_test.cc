@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -69,6 +71,62 @@ TEST(ParseJobsFlag, ExtractsAndStripsTheFlag)
     int argc3 = 2;
     EXPECT_EQ(parseJobsFlag(argc3, argv3), 0);
     EXPECT_EQ(argc3, 2);
+}
+
+TEST(ParseJobsFlag, JobCountsAreStrictPositiveIntegers)
+{
+    EXPECT_EQ(parseJobCount("1"), 1);
+    EXPECT_EQ(parseJobCount("12"), 12);
+    EXPECT_EQ(parseJobCount("2147483647"), 2147483647);
+    for (const char *bad : {"", "abc", "-3", "0", "-0", "+3", "4x", " 4",
+                            "4 ", "2147483648", "99999999999999999999"})
+        EXPECT_EQ(parseJobCount(bad), std::nullopt) << '"' << bad << '"';
+}
+
+TEST(ParseJobsFlag, MalformedValuesExitTwoWithAMessage)
+{
+    // Each case runs the parser alone in a child; none starts a runner.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const auto parse = [](std::vector<std::string> args) {
+        std::vector<char *> argv;
+        static char prog[] = "bench";
+        argv.push_back(prog);
+        for (std::string &arg : args)
+            argv.push_back(arg.data());
+        argv.push_back(nullptr);
+        int argc = static_cast<int>(argv.size()) - 1;
+        parseJobsFlag(argc, argv.data());
+    };
+    for (const char *bad : {"--jobs=abc", "--jobs=-3", "--jobs=4x",
+                            "--jobs=", "--jobs=0", "--jobs=4294967297"}) {
+        EXPECT_EXIT(parse({bad}), testing::ExitedWithCode(2),
+                    "--jobs: expected a positive integer")
+            << bad;
+    }
+    // A trailing --jobs with no value is an error, not a positional.
+    EXPECT_EXIT(parse({"--out=x.json", "--jobs"}), testing::ExitedWithCode(2),
+                "--jobs: expected a positive integer job count, got \"\"");
+    EXPECT_EXIT(parse({"--jobs", "many"}), testing::ExitedWithCode(2),
+                "got \"many\"");
+}
+
+TEST(ParseJobsFlag, EnvironmentOverrideIsStrictToo)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const char *saved = std::getenv("RCHDROID_JOBS");
+    const std::string previous = saved ? saved : "";
+    ::setenv("RCHDROID_JOBS", "3", 1);
+    EXPECT_EQ(defaultJobs(), 3);
+    for (const char *bad : {"abc", "-3", "4x", ""}) {
+        ::setenv("RCHDROID_JOBS", bad, 1);
+        EXPECT_EXIT(defaultJobs(), testing::ExitedWithCode(2),
+                    "RCHDROID_JOBS: expected a positive integer")
+            << bad;
+    }
+    if (saved)
+        ::setenv("RCHDROID_JOBS", previous.c_str(), 1);
+    else
+        ::unsetenv("RCHDROID_JOBS");
 }
 
 bool

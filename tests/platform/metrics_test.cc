@@ -1,12 +1,13 @@
 /**
  * @file
  * MetricsRegistry and LogHistogram: bucketing, percentiles, labeled
- * counters, the scoped-install idiom and the null-safe free helpers.
+ * counters and the scoped-install idiom.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "os/instrumentation.h"
 #include "platform/metrics.h"
 
 namespace rchdroid::metrics {
@@ -126,33 +127,37 @@ TEST(MetricsRegistry, TextAndJsonRenderings)
     EXPECT_NE(json.find("\"handling_ms\""), std::string::npos);
 }
 
-TEST(MetricsRegistry, ScopedInstallAndFreeHelpers)
+TEST(MetricsRegistry, ScopedInstallIsNestedAndFeedsOnlyTheInnermost)
 {
     EXPECT_EQ(MetricsRegistry::current(), nullptr);
-    // Helpers are no-ops without a registry.
-    add(Counter::kRelaunches);
-    observe(Histogram::kHandlingMs, 1.0);
+    EXPECT_EQ(seam::observers(), nullptr);
+    // Events with no registry installed go nowhere.
+    seam::emit(&seam::Observer::onShadowEntered);
 
     MetricsRegistry outer;
     {
         ScopedMetricsRegistry outer_guard(&outer);
         EXPECT_EQ(MetricsRegistry::current(), &outer);
-        add(Counter::kRelaunches);
+        seam::emit(&seam::Observer::onShadowEntered);
         {
             MetricsRegistry inner;
             ScopedMetricsRegistry inner_guard(&inner);
-            add(Counter::kRelaunches);
-            set(Gauge::kHeapBytes, 64.0);
-            addLabeled(Counter::kViewsMigrated, "ImageView");
+            seam::emit(&seam::Observer::onShadowEntered);
+            seam::emit(&seam::Observer::onViewMigrated, "ImageView", true);
 #if RCHDROID_TRACING
-            EXPECT_EQ(inner.counter(Counter::kRelaunches), 1u);
+            EXPECT_EQ(inner.counter(Counter::kShadowEntered), 1u);
+            EXPECT_EQ(inner.labeled(Counter::kViewsMigrated, "ImageView"),
+                      1u);
+            EXPECT_EQ(inner.counter(Counter::kMigrateBatches), 1u);
 #endif
         }
         EXPECT_EQ(MetricsRegistry::current(), &outer);
     }
     EXPECT_EQ(MetricsRegistry::current(), nullptr);
+    EXPECT_EQ(seam::observers(), nullptr);
 #if RCHDROID_TRACING
-    EXPECT_EQ(outer.counter(Counter::kRelaunches), 1u);
+    EXPECT_EQ(outer.counter(Counter::kShadowEntered), 1u);
+    EXPECT_EQ(outer.counter(Counter::kViewsMigrated), 0u);
 #endif
 }
 

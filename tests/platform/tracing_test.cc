@@ -237,30 +237,6 @@ TEST(Tracer, NestedSpansEmitBalancedBeginEnd)
         EXPECT_EQ(event.lane, 0u);
 }
 
-TEST(Tracer, TraceScopeIsRaiiAndNullSafe)
-{
-    // No tracer installed: the scope must be a silent no-op.
-    {
-        TraceScope scope("ghost", "sim");
-    }
-
-    Tracer tracer;
-    SimTime now = 5;
-    tracer.setClock([&now] { return now; });
-    {
-        ScopedTracer install(&tracer);
-        TraceScope scope("rch.coinFlip", std::string("app/.Main"), "rch");
-        now = 17;
-    }
-    ASSERT_EQ(tracer.eventCount(), 2u);
-    EXPECT_EQ(tracer.events()[0].phase, Phase::kBegin);
-    EXPECT_EQ(tracer.events()[0].ts, 5);
-    EXPECT_EQ(tracer.events()[0].arg, "app/.Main");
-    EXPECT_EQ(tracer.events()[1].phase, Phase::kEnd);
-    EXPECT_EQ(tracer.events()[1].ts, 17);
-    EXPECT_EQ(Tracer::current(), nullptr);
-}
-
 TEST(Tracer, AsyncSpansPairById)
 {
     Tracer tracer;

@@ -110,6 +110,56 @@ class LintRulesTest(unittest.TestCase):
         code, errors = self.repo.lint()
         self.assertIn("analysis-seam", self.rules(errors))
 
+    def test_instrumentation_seam_rule_blocks_tracer_and_metrics(self):
+        self.repo.write("src/rch/bad.cc",
+                        '#include "platform/tracing.h"\n'
+                        '#include "platform/metrics.h"\n')
+        code, errors = self.repo.lint()
+        self.assertEqual(code, 1)
+        self.assertEqual(self.rules(errors),
+                         ["instrumentation-seam", "instrumentation-seam"])
+        self.assertEqual([e["line"] for e in errors], [1, 2])
+
+    def test_instrumentation_seam_rule_covers_every_instrumented_layer(self):
+        for layer in ("os", "view", "app", "ams", "rch", "resources",
+                      "apps", "baseline"):
+            self.repo.write(f"src/{layer}/bad.h",
+                            '#include "platform/metrics.h"\n')
+        code, errors = self.repo.lint()
+        self.assertEqual(self.rules(errors), ["instrumentation-seam"] * 8)
+
+    def test_instrumentation_seam_own_files_are_exempt(self):
+        self.repo.write("src/os/instrumentation.h",
+                        '#include "platform/time.h"\n')
+        self.repo.write("src/os/instrumentation.cc",
+                        '#include "platform/metrics.h"\n'
+                        '#include "platform/tracing.h"\n')
+        code, errors = self.repo.lint()
+        self.assertEqual(code, 0)
+
+    def test_instrumentation_seam_allows_harnesses_and_other_headers(self):
+        # sim/, mc/ and platform/ itself read the tracer and registry;
+        # framework layers may include the rest of platform/.
+        self.repo.write("src/sim/dumpsys.cc",
+                        '#include "platform/metrics.h"\n'
+                        '#include "platform/tracing.h"\n')
+        self.repo.write("src/mc/explore.cc",
+                        '#include "platform/tracing.h"\n')
+        self.repo.write("src/platform/tracing.cc",
+                        '#include "platform/tracing.h"\n')
+        self.repo.write("src/view/view.cc",
+                        '#include "os/instrumentation.h"\n'
+                        '#include "platform/telemetry.h"\n')
+        code, errors = self.repo.lint()
+        self.assertEqual(code, 0)
+
+    def test_instrumentation_seam_include_in_comment_is_exempt(self):
+        self.repo.write("src/ams/doc.cc",
+                        '// #include "platform/tracing.h" would be a '
+                        'second channel\n')
+        code, errors = self.repo.lint()
+        self.assertEqual(code, 0)
+
     def test_sa_seam_rule_blocks_simulator_includes(self):
         self.repo.write("src/sa/bad.cc",
                         '#include "sim/simulator.h"\n'

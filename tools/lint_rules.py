@@ -26,9 +26,9 @@ for.
 
 Rule 2 — analysis-seam: framework layers (os, view, app, ams, rch,
 platform, resources, apps, baseline) must not include analysis/ headers
-directly; the one sanctioned crossing is the os/analysis_hooks.h seam,
-whose Hooks interface (in namespace analysis::, defined by the seam
-header itself) is how the framework reports events. sim/ and mc/ are
+directly; the one sanctioned crossing is the os/instrumentation.h seam,
+whose Observer interface (defined by the seam header itself) is how the
+framework reports events. sim/ and mc/ are
 harness layers that own an Analyzer by design and are exempt. This
 keeps the dependency arrow pointing one way: analysis observes the
 framework, the framework never grows a compile-time dependency on its
@@ -68,6 +68,16 @@ analysis/ and apps/ headers, never app/, ams/, rch/, resources/ or
 baseline/ internals directly. Activity-thread and policy internals are
 reached through the sim/ facade; a direct include would couple the
 checker to framework innards the scheduler seam deliberately hides.
+
+Rule 8 — instrumentation-seam: the instrumented framework layers (os,
+view, app, ams, rch, resources, apps, baseline) report through the
+instrumentation seam only. No file there may include platform/tracing.h
+or platform/metrics.h, except the seam's own files
+(src/os/instrumentation.{h,cc}), which hold the tracer and metrics
+observers. A direct include is how a second reporting channel grows
+back: a site that calls the tracer or the registry itself reports
+twice. sim/, mc/ and the tools are harnesses and may read both.
+(Rule 7, snapshot-seam, retired with the fork-snapshot layer.)
 """
 
 import json
@@ -81,7 +91,18 @@ FRAMEWORK_LAYERS = ("os", "view", "app", "ams", "rch", "platform",
                     "resources", "apps", "baseline")
 
 #: The one sanctioned framework crossing into analysis/.
-ANALYSIS_SEAM = os.path.join("src", "os", "analysis_hooks.h")
+ANALYSIS_SEAM = os.path.join("src", "os", "instrumentation.h")
+
+#: Layers that report through the instrumentation seam (rule 8).
+INSTRUMENTED_LAYERS = ("os", "view", "app", "ams", "rch", "resources",
+                       "apps", "baseline")
+
+#: The seam's own files, where the tracer and metrics observers live.
+INSTRUMENTATION_SEAM = (ANALYSIS_SEAM,
+                        os.path.join("src", "os", "instrumentation.cc"))
+
+#: Headers only the seam's own files may include (rule 8).
+OBSERVER_HEADERS = ("platform/tracing.h", "platform/metrics.h")
 
 #: Where the raw kind strings live (and must stay).
 KIND_HOME = os.path.join("src", "platform", "telemetry.cc")
@@ -203,6 +224,17 @@ def check_file(path, rel, kind_names, errors):
                     rel, number, "analysis-seam",
                     f"framework layer \"{layer}\" includes an analysis/ "
                     f"header — go through {ANALYSIS_SEAM}"))
+
+    if layer in INSTRUMENTED_LAYERS and rel not in INSTRUMENTATION_SEAM:
+        for number, line in enumerate(code.splitlines(), 1):
+            match = re.search(r'#\s*include\s*"([^"]+)"', line)
+            if match and match.group(1) in OBSERVER_HEADERS:
+                errors.append(_error(
+                    rel, number, "instrumentation-seam",
+                    f"instrumented layer \"{layer}\" includes "
+                    f"\"{match.group(1)}\" — report through "
+                    f"{ANALYSIS_SEAM}; the tracer and metrics observers "
+                    f"derive their output from its events"))
 
     if layer == "sa":
         for number, line in enumerate(code.splitlines(), 1):
