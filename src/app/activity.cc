@@ -206,15 +206,14 @@ Activity::saveInstanceStateNow(bool full)
     return out;
 }
 
-Bundle
+void
 Activity::enterShadowState()
 {
     RCH_ASSERT(state_ == LifecycleState::Resumed ||
                    state_ == LifecycleState::Sunny,
                "enterShadowState from ", lifecycleStateName(state_));
     // The explicit RCHDroid snapshot: full per-view coverage.
-    Bundle snapshot = saveInstanceStateNow(/*full=*/true);
-    shadow_snapshot_ = snapshot;
+    shadow_snapshot_ = saveInstanceStateNow(/*full=*/true);
     has_shadow_snapshot_ = true;
     transitionTo(LifecycleState::Shadow);
     window_.decorView().dispatchSunnyStateChanged(false);
@@ -222,7 +221,6 @@ Activity::enterShadowState()
     shadow_entered_at_ =
         context_.ui_looper ? context_.ui_looper->now() : 0;
     emitEvent(kinds::kActivityEnterShadow);
-    return snapshot;
 }
 
 void

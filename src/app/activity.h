@@ -120,10 +120,10 @@ class Activity : public ViewTreeHost
     bool isShadow() const { return state_ == LifecycleState::Shadow; }
     bool isSunny() const { return state_ == LifecycleState::Sunny; }
     /**
-     * Enter the shadow state: snapshot instance state, flag the tree,
-     * transition Resumed/Sunny → Shadow. Returns the snapshot.
+     * Enter the shadow state: snapshot instance state into
+     * shadowSnapshot(), flag the tree, transition Resumed/Sunny → Shadow.
      */
-    Bundle enterShadowState();
+    void enterShadowState();
     /** Leave shadow for the foreground (coin-flip target). */
     void enterSunnyStateFromShadow();
     /** Downgrade Sunny → Resumed (shadow partner collected). */

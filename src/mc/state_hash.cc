@@ -71,7 +71,7 @@ mixBundle(std::uint64_t &h, const Bundle &bundle)
                     for (const std::string &v : held)
                         mixString(h, v);
                 } else if constexpr (std::is_same_v<
-                                         T, std::shared_ptr<Bundle>>) {
+                                         T, std::shared_ptr<const Bundle>>) {
                     if (held)
                         mixBundle(h, *held);
                     else

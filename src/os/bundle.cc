@@ -41,7 +41,13 @@ Bundle::putStringVector(const std::string &key, std::vector<std::string> value)
 void
 Bundle::putBundle(const std::string &key, Bundle value)
 {
-    entries_[key] = std::make_shared<Bundle>(std::move(value));
+    entries_[key] = std::make_shared<const Bundle>(std::move(value));
+}
+
+void
+Bundle::putBundle(const std::string &key, std::shared_ptr<const Bundle> value)
+{
+    entries_[key] = std::move(value);
 }
 
 namespace {
@@ -103,7 +109,7 @@ Bundle::getStringVector(const std::string &key) const
 Bundle
 Bundle::getBundle(const std::string &key) const
 {
-    const auto *v = lookup<std::shared_ptr<Bundle>>(entries_, key);
+    const auto *v = lookup<std::shared_ptr<const Bundle>>(entries_, key);
     return (v && *v) ? **v : Bundle{};
 }
 
@@ -160,7 +166,7 @@ valueSize(const BundleValue &value)
             return n;
         }
         std::size_t
-        operator()(const std::shared_ptr<Bundle> &b) const
+        operator()(const std::shared_ptr<const Bundle> &b) const
         {
             return b ? b->approximateSizeBytes() : 0;
         }
@@ -173,10 +179,11 @@ valueEquals(const BundleValue &a, const BundleValue &b)
 {
     if (a.index() != b.index())
         return false;
-    // Nested bundles are held by shared_ptr; compare structurally.
-    if (const auto *pa = std::get_if<std::shared_ptr<Bundle>>(&a)) {
-        const auto *pb = std::get_if<std::shared_ptr<Bundle>>(&b);
-        if (!*pa || !*pb)
+    // Nested bundles are held by shared_ptr; compare structurally. They
+    // are immutable, so one pointer is one content.
+    if (const auto *pa = std::get_if<std::shared_ptr<const Bundle>>(&a)) {
+        const auto *pb = std::get_if<std::shared_ptr<const Bundle>>(&b);
+        if (*pa == *pb || !*pa || !*pb)
             return *pa == *pb;
         return **pa == **pb;
     }

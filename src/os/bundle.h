@@ -29,7 +29,7 @@ using BundleValue = std::variant<std::int64_t,
                                  std::string,
                                  std::vector<std::int64_t>,
                                  std::vector<std::string>,
-                                 std::shared_ptr<Bundle>>;
+                                 std::shared_ptr<const Bundle>>;
 
 /**
  * Recursive, typed key/value map.
@@ -37,6 +37,12 @@ using BundleValue = std::variant<std::int64_t,
  * Getter misses return the supplied default, matching android.os.Bundle
  * semantics (this forgiving behaviour matters: the paper's unfixable apps
  * are exactly the ones whose state never lands in any bundle or view).
+ *
+ * Nested bundles are immutable once put: they are held as
+ * `shared_ptr<const Bundle>`, so one nested bundle may sit in several
+ * containers at once (a view's memoised saved state is linked into
+ * every snapshot that takes it, DESIGN.md §5d) and none can change it
+ * under the others.
  */
 class Bundle
 {
@@ -53,6 +59,8 @@ class Bundle
     void putIntVector(const std::string &key, std::vector<std::int64_t> value);
     void putStringVector(const std::string &key, std::vector<std::string> value);
     void putBundle(const std::string &key, Bundle value);
+    /** Link an existing immutable bundle; no copy is made. */
+    void putBundle(const std::string &key, std::shared_ptr<const Bundle> value);
     /** @} */
 
     /** @name Typed getters with defaults

@@ -179,7 +179,7 @@ Parcel::writeBundle(const Bundle &bundle)
                     p.writeString(x);
             }
             void
-            operator()(const std::shared_ptr<Bundle> &v) const
+            operator()(const std::shared_ptr<const Bundle> &v) const
             {
                 p.writeInt32(static_cast<std::int32_t>(WireTag::NestedBundle));
                 p.writeBundle(v ? *v : Bundle{});

@@ -102,6 +102,8 @@ struct DrawableValue
         return static_cast<std::size_t>(width_px) *
                static_cast<std::size_t>(height_px) * 4;
     }
+
+    bool operator==(const DrawableValue &) const = default;
 };
 
 /** One node of a layout resource: element name + attributes, like XML. */

@@ -14,9 +14,15 @@ void
 ImageView::setDrawable(DrawableValue drawable)
 {
     requireAlive("setDrawable");
+    // Flip sync re-sets the same asset on every coin flip: that redraws,
+    // but leaves the saved state as it was.
+    const bool unchanged = !drawable_from_resource_ && drawable_ == drawable;
     drawable_ = std::move(drawable);
     drawable_from_resource_ = false;
-    invalidate();
+    if (unchanged)
+        invalidateUnchanged();
+    else
+        invalidate();
 }
 
 void

@@ -14,6 +14,9 @@ void
 TextView::setText(std::string text)
 {
     requireAlive("setText");
+    // Resource text turns into user state, which a full save keeps.
+    if (text_from_resource_)
+        stateChanged();
     text_from_resource_ = false;
     if (text == text_)
         return;
@@ -117,7 +120,11 @@ EditText::setCursorPosition(int position)
 {
     requireAlive("setCursorPosition");
     RCH_ASSERT(position >= 0, "negative cursor");
+    if (position == cursor_)
+        return;
+    // Saved state, but a cursor move redraws nothing: no invalidate().
     cursor_ = position;
+    stateChanged();
 }
 
 void

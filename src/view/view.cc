@@ -58,6 +58,15 @@ View::markDestroyed()
 void
 View::invalidate()
 {
+    // Dropped first: the setter has written its field already, even if
+    // the checks below reject the mutation.
+    stateChanged();
+    invalidateUnchanged();
+}
+
+void
+View::invalidateUnchanged()
+{
     if (destroyed_)
         seam::emit(&seam::Observer::onDestroyedViewMutation, this,
                    typeName(), id_);
@@ -124,10 +133,17 @@ View::saveHierarchyState(Bundle &container, bool full,
 {
     const std::string key = stateKey(full, path);
     if (!key.empty()) {
-        Bundle state;
-        onSaveState(state, full);
-        if (!state.empty())
-            container.putBundle(key, std::move(state));
+        if (!saved_.valid || saved_.full != full) {
+            Bundle state;
+            onSaveState(state, full);
+            saved_.state = state.empty() ? nullptr
+                                         : std::make_shared<const Bundle>(
+                                               std::move(state));
+            saved_.full = full;
+            saved_.valid = true;
+        }
+        if (saved_.state)
+            container.putBundle(key, saved_.state);
     }
     // Children always participate, whether or not this view has a key —
     // Android's dispatchSaveInstanceState recurses unconditionally.
@@ -141,10 +157,13 @@ View::restoreHierarchyState(const Bundle &container, const std::string &path)
     // save may have used.
     if (!id_.empty() && container.contains(id_)) {
         onRestoreState(container.getBundle(id_));
+        stateChanged();
     } else {
         const std::string path_key = "@" + path;
-        if (!path.empty() && container.contains(path_key))
+        if (!path.empty() && container.contains(path_key)) {
             onRestoreState(container.getBundle(path_key));
+            stateChanged();
+        }
     }
     dispatchRestoreChildren(container, path);
 }

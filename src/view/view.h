@@ -165,6 +165,12 @@ class View
      */
     /**
      * Save this view's state into `container`.
+     *
+     * Each view memoises its last onSaveState output with the coverage
+     * it was built for, and links that immutable bundle into the
+     * container while it is valid, instead of building it again.
+     * stateChanged() drops the memo (DESIGN.md §5d lists its callers).
+     *
      * @param full Full (RCHDroid) vs default (stock) coverage.
      * @param path Structural path of this view, e.g. "0/2"; used as the
      *        key fallback for id-less views in full mode.
@@ -217,6 +223,20 @@ class View
     void requireAlive(const char *operation) const;
 
     /**
+     * A field onSaveState reads has changed: drop the memoised saved
+     * state. invalidate() and restoreHierarchyState() call this; a
+     * setter that writes saved state without invalidating must call it.
+     */
+    void stateChanged() { saved_.valid = false; }
+
+    /**
+     * invalidate() for an update that re-stored values equal to the
+     * ones held: the view redraws and its host sees the invalidation,
+     * but the memoised saved state stays valid.
+     */
+    void invalidateUnchanged();
+
+    /**
      * Report a read of this view's migratable state to the
      * instrumentation seam (no-op when nothing observes). Widget getters whose values
      * feed app logic call this so the race detector sees cross-thread
@@ -251,6 +271,15 @@ class View
     View *sunny_peer_ = nullptr;
     std::uint64_t invalidate_count_ = 0;
     int left_ = 0, top_ = 0, width_ = 0, height_ = 0;
+
+    /** The last onSaveState output; `state` is null when it was empty. */
+    struct SavedState
+    {
+        std::shared_ptr<const Bundle> state;
+        bool full = false;
+        bool valid = false;
+    };
+    mutable SavedState saved_;
 };
 
 } // namespace rchdroid

@@ -161,11 +161,12 @@ TEST_F(ActivityFixture, EnterShadowStateFlagsAndSnapshots)
     launch(app);
     app.findViewByIdAs<TextView>("label")->setText("status");
 
-    const Bundle snapshot = app.enterShadowState();
+    app.enterShadowState();
     EXPECT_TRUE(app.isShadow());
     EXPECT_TRUE(app.hasShadowSnapshot());
     EXPECT_TRUE(app.findViewById("label")->isShadow());
     // The explicit snapshot is full: the TextView's text is in it.
+    const Bundle &snapshot = app.shadowSnapshot();
     EXPECT_EQ(snapshot.getBundle("views").getBundle("label").getString("text"),
               "status");
 }

@@ -2,10 +2,15 @@
  * @file
  * Widget instance state: the default (stock Android) vs full (RCHDroid
  * explicit snapshot) coverage matrix that the paper's effectiveness
- * results rest on, exercised per widget and as a parameterised sweep.
+ * results rest on, exercised per widget and as a parameterised sweep;
+ * and the saved-state memo, checked for every widget kind and public
+ * mutator against a save of a freshly built tree.
  */
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "view/extra_widgets.h"
 #include "view/image_view.h"
 #include "view/list_view.h"
 #include "view/progress_bar.h"
@@ -364,6 +369,383 @@ TEST_P(FullSaveRoundTrip, Lossless)
 INSTANTIATE_TEST_SUITE_P(AllWidgets, FullSaveRoundTrip,
                          ::testing::Combine(::testing::Bool(),
                                             ::testing::Range(0, 7)));
+
+/**
+ * The saved-state memo: for every widget kind and every public mutator,
+ * save a tree (which memoises each view's state), mutate it, and save
+ * again. The second save must equal a save of a freshly built tree that
+ * went through the same mutation, so no mutator may leave a memo stale.
+ */
+struct MemoCase
+{
+    std::string name;
+    /** A root LinearLayout holding one set-up widget with id "w". */
+    std::function<std::unique_ptr<View>()> build;
+    std::function<void(View &root)> mutate;
+};
+
+void
+PrintTo(const MemoCase &memo_case, std::ostream *os)
+{
+    *os << memo_case.name;
+}
+
+template <typename W>
+W &
+widgetIn(View &root)
+{
+    auto *w = dynamic_cast<W *>(root.findViewById("w"));
+    EXPECT_NE(w, nullptr);
+    return *w;
+}
+
+/** A tree whose widget was built by `make` and set up by `setup`. */
+template <typename W>
+std::function<std::unique_ptr<View>()>
+tree(std::function<std::unique_ptr<W>()> make, std::function<void(W &)> setup)
+{
+    return [make, setup] {
+        auto root = std::make_unique<LinearLayout>(
+            "root", LinearLayout::Direction::Vertical);
+        std::unique_ptr<W> w = make();
+        setup(*w);
+        root->addChild(std::move(w));
+        return std::unique_ptr<View>(std::move(root));
+    };
+}
+
+template <typename W>
+std::function<std::unique_ptr<W>()>
+plain()
+{
+    return [] { return std::make_unique<W>("w"); };
+}
+
+/** A case whose mutation acts on the widget. */
+template <typename W>
+MemoCase
+onWidget(std::string name, std::function<std::unique_ptr<View>()> build,
+         std::function<void(W &)> mutate)
+{
+    return {std::move(name), std::move(build),
+            [mutate](View &root) { mutate(widgetIn<W>(root)); }};
+}
+
+/** Restore the widget from the state a differently set-up twin saved. */
+template <typename W>
+MemoCase
+restoreFrom(std::string name, std::function<std::unique_ptr<View>()> build,
+            std::function<void(W &)> twin_setup, bool full)
+{
+    return {std::move(name), build, [build, twin_setup, full](View &root) {
+                std::unique_ptr<View> twin = build();
+                twin_setup(widgetIn<W>(*twin));
+                Bundle saved;
+                twin->saveHierarchyState(saved, full, "r");
+                root.restoreHierarchyState(saved, "r");
+            }};
+}
+
+/** Migrate onto the widget from a peer set up by `peer_setup`. */
+template <typename W>
+MemoCase
+migrateFrom(std::string name, std::function<std::unique_ptr<View>()> build,
+            std::function<void(W &)> peer_setup)
+{
+    return {std::move(name), build, [build, peer_setup](View &root) {
+                std::unique_ptr<View> peer = build();
+                peer_setup(widgetIn<W>(*peer));
+                widgetIn<W>(*peer).applyMigration(widgetIn<W>(root));
+            }};
+}
+
+std::vector<MemoCase>
+memoCases()
+{
+    std::vector<MemoCase> cases;
+    auto add = [&cases](MemoCase c) { cases.push_back(std::move(c)); };
+    const auto noop = [](auto &) {};
+
+    // View and the containers: the mutators that touch no saved state.
+    const auto view = tree<View>(plain<View>(), noop);
+    add(onWidget<View>("View_invalidate", view, [](View &v) { v.invalidate(); }));
+    add(onWidget<View>("View_setFrame", view,
+                       [](View &v) { v.setFrame(1, 2, 3, 4); }));
+    add(onWidget<View>("View_setShadow", view, [](View &v) { v.setShadow(true); }));
+    add(onWidget<View>("View_setSunny", view, [](View &v) { v.setSunny(true); }));
+    add(onWidget<View>("View_clearDirty", view, [](View &v) { v.clearDirty(); }));
+    add(migrateFrom<View>("View_applyMigration", view, noop));
+    const auto frame = tree<FrameLayout>(plain<FrameLayout>(), [](FrameLayout &f) {
+        f.addChild(std::make_unique<EditText>("e")).invalidate();
+    });
+    add(onWidget<FrameLayout>("FrameLayout_addChild", frame, [](FrameLayout &f) {
+        f.addChild(std::make_unique<ScrollView>("added")).invalidate();
+    }));
+    add(onWidget<FrameLayout>("FrameLayout_removeChildAt", frame,
+                              [](FrameLayout &f) { f.removeChildAt(0); }));
+    add(onWidget<FrameLayout>("FrameLayout_detachChildAt", frame,
+                              [](FrameLayout &f) { (void)f.detachChildAt(0); }));
+    add(onWidget<FrameLayout>("FrameLayout_childMutation", frame, [](FrameLayout &f) {
+        dynamic_cast<EditText &>(f.childAt(0)).typeText("x");
+    }));
+    add(onWidget<FrameLayout>("FrameLayout_layoutSubtree", frame,
+                              [](FrameLayout &f) { f.layoutSubtree(0, 0, 8, 8); }));
+    add(onWidget<FrameLayout>(
+        "FrameLayout_dispatchShadowStateChanged", frame,
+        [](FrameLayout &f) { f.dispatchShadowStateChanged(true); }));
+    const auto lin = tree<LinearLayout>(
+        [] {
+            return std::make_unique<LinearLayout>(
+                "w", LinearLayout::Direction::Horizontal);
+        },
+        noop);
+    add(onWidget<LinearLayout>("LinearLayout_layoutSubtree", lin,
+                               [](LinearLayout &l) { l.layoutSubtree(0, 0, 8, 8); }));
+
+    const auto scroll =
+        tree<ScrollView>(plain<ScrollView>(), [](ScrollView &v) { v.scrollTo(5); });
+    add(onWidget<ScrollView>("ScrollView_scrollTo", scroll,
+                             [](ScrollView &v) { v.scrollTo(9); }));
+    add(onWidget<ScrollView>("ScrollView_scrollToEqual", scroll,
+                             [](ScrollView &v) { v.scrollTo(5); }));
+    add(restoreFrom<ScrollView>("ScrollView_restore", scroll,
+                                [](ScrollView &v) { v.scrollTo(40); }, false));
+
+    // The TextView family.
+    const auto text =
+        tree<TextView>(plain<TextView>(), [](TextView &v) { v.setText("a"); });
+    const auto res_text = tree<TextView>(
+        plain<TextView>(), [](TextView &v) { v.setTextFromResource("r"); });
+    add(onWidget<TextView>("TextView_setText", text,
+                           [](TextView &v) { v.setText("b"); }));
+    add(onWidget<TextView>("TextView_setTextEqual", text,
+                           [](TextView &v) { v.setText("a"); }));
+    add(onWidget<TextView>("TextView_setTextFromResource", text,
+                           [](TextView &v) { v.setTextFromResource("r"); }));
+    add(onWidget<TextView>("TextView_setTextOverEqualResource", res_text,
+                           [](TextView &v) { v.setText("r"); }));
+    add(onWidget<TextView>("TextView_setTextSizeSp", text,
+                           [](TextView &v) { v.setTextSizeSp(20); }));
+    add(restoreFrom<TextView>("TextView_restore", text,
+                              [](TextView &v) { v.setText("z"); }, true));
+    add(restoreFrom<TextView>("TextView_restoreOverResource", res_text,
+                              [](TextView &v) { v.setText("z"); }, true));
+    add(migrateFrom<TextView>("TextView_applyMigration", text,
+                              [](TextView &v) { v.setText("m"); }));
+    add(migrateFrom<TextView>("TextView_applyMigrationEqual", text, noop));
+    const auto button =
+        tree<Button>(plain<Button>(), [](Button &v) { v.setText("go"); });
+    add(onWidget<Button>("Button_setOnClickListener", button, [](Button &v) {
+        v.setOnClickListener([&v] { v.setText("clicked"); });
+    }));
+    add(onWidget<Button>("Button_performClick", button, [](Button &v) {
+        v.setOnClickListener([&v] { v.setText("clicked"); });
+        v.performClick();
+    }));
+
+    const auto edit = tree<EditText>(plain<EditText>(), [](EditText &v) {
+        v.typeText("abc");
+        v.setCursorPosition(1);
+    });
+    add(onWidget<EditText>("EditText_setCursorPosition", edit,
+                           [](EditText &v) { v.setCursorPosition(3); }));
+    add(onWidget<EditText>("EditText_setCursorPositionEqual", edit,
+                           [](EditText &v) { v.setCursorPosition(1); }));
+    add(onWidget<EditText>("EditText_typeText", edit,
+                           [](EditText &v) { v.typeText("xy"); }));
+    add(onWidget<EditText>("EditText_typeNothing", edit,
+                           [](EditText &v) { v.typeText(""); }));
+    add(onWidget<EditText>("EditText_setText", edit,
+                           [](EditText &v) { v.setText("new"); }));
+    add(onWidget<EditText>("EditText_setHint", edit,
+                           [](EditText &v) { v.setHint("hint"); }));
+    add(restoreFrom<EditText>("EditText_restore", edit,
+                              [](EditText &v) { v.setCursorPosition(2); }, false));
+    add(migrateFrom<EditText>("EditText_applyMigration", edit,
+                              [](EditText &v) { v.setCursorPosition(3); }));
+
+    const auto check =
+        tree<CheckBox>(plain<CheckBox>(), [](CheckBox &v) { v.setText("c"); });
+    add(onWidget<CheckBox>("CheckBox_setChecked", check,
+                           [](CheckBox &v) { v.setChecked(true); }));
+    add(onWidget<CheckBox>("CheckBox_toggle", check, [](CheckBox &v) { v.toggle(); }));
+    add(restoreFrom<CheckBox>("CheckBox_restore", check,
+                              [](CheckBox &v) { v.setChecked(true); }, false));
+    add(migrateFrom<CheckBox>("CheckBox_applyMigration", check,
+                              [](CheckBox &v) { v.setChecked(true); }));
+    const auto sw = tree<Switch>(plain<Switch>(), noop);
+    add(onWidget<Switch>("Switch_toggle", sw, [](Switch &v) { v.toggle(); }));
+
+    // ImageView: flip sync re-sets an equal drawable on every coin flip.
+    const auto image = tree<ImageView>(plain<ImageView>(), [](ImageView &v) {
+        v.setDrawable(DrawableValue{"a", 4, 4});
+    });
+    const auto res_image = tree<ImageView>(plain<ImageView>(), [](ImageView &v) {
+        v.setDrawableFromResource(DrawableValue{"a", 4, 4});
+    });
+    add(onWidget<ImageView>("ImageView_setDrawableEqual", image, [](ImageView &v) {
+        v.setDrawable(DrawableValue{"a", 4, 4});
+    }));
+    add(onWidget<ImageView>("ImageView_setDrawableOtherAsset", image,
+                            [](ImageView &v) {
+                                v.setDrawable(DrawableValue{"b", 4, 4});
+                            }));
+    add(onWidget<ImageView>("ImageView_setDrawableOtherSize", image,
+                            [](ImageView &v) {
+                                v.setDrawable(DrawableValue{"a", 8, 4});
+                            }));
+    add(onWidget<ImageView>("ImageView_setDrawableOverEqualResource", res_image,
+                            [](ImageView &v) {
+                                v.setDrawable(DrawableValue{"a", 4, 4});
+                            }));
+    add(onWidget<ImageView>("ImageView_setDrawableFromResource", image,
+                            [](ImageView &v) {
+                                v.setDrawableFromResource(DrawableValue{"a", 4, 4});
+                            }));
+    add(onWidget<ImageView>("ImageView_clearDrawable", image,
+                            [](ImageView &v) { v.clearDrawable(); }));
+    add(restoreFrom<ImageView>("ImageView_restore", image, [](ImageView &v) {
+        v.setDrawable(DrawableValue{"z", 2, 2});
+    }, true));
+    add(migrateFrom<ImageView>("ImageView_applyMigration", image, [](ImageView &v) {
+        v.setDrawable(DrawableValue{"m", 4, 4});
+    }));
+    add(migrateFrom<ImageView>("ImageView_applyMigrationEqual", image, noop));
+
+    // The AbsListView family.
+    const auto fill = [](AbsListView &v) {
+        v.setItems({"a", "b", "c", "d"});
+        v.setSelectorPosition(1);
+        v.setItemChecked(1);
+        v.scrollToPosition(1);
+    };
+    const std::function<void(ListView &)> fill_list = fill;
+    const auto list = tree<ListView>(plain<ListView>(), fill_list);
+    add(onWidget<ListView>("ListView_setItems", list,
+                           [](ListView &v) { v.setItems({"a"}); }));
+    add(onWidget<ListView>("ListView_setSelectorPosition", list,
+                           [](ListView &v) { v.setSelectorPosition(2); }));
+    add(onWidget<ListView>("ListView_setItemChecked", list,
+                           [](ListView &v) { v.setItemChecked(3); }));
+    add(onWidget<ListView>("ListView_clearItemChecked", list,
+                           [](ListView &v) { v.clearItemChecked(); }));
+    add(onWidget<ListView>("ListView_scrollToPosition", list,
+                           [](ListView &v) { v.scrollToPosition(3); }));
+    add(restoreFrom<ListView>("ListView_restore", list,
+                              [](ListView &v) { v.setItemChecked(2); }, true));
+    add(migrateFrom<ListView>("ListView_applyMigration", list,
+                              [](ListView &v) { v.setSelectorPosition(3); }));
+    const std::function<void(GridView &)> fill_grid = fill;
+    const auto grid = tree<GridView>(
+        [] { return std::make_unique<GridView>("w", 3); }, fill_grid);
+    add(onWidget<GridView>("GridView_setItemChecked", grid,
+                           [](GridView &v) { v.setItemChecked(0); }));
+    add(restoreFrom<GridView>("GridView_restore", grid,
+                              [](GridView &v) { v.scrollToPosition(2); }, true));
+    const std::function<void(Spinner &)> fill_spinner = fill;
+    const auto spinner = tree<Spinner>(plain<Spinner>(), fill_spinner);
+    add(onWidget<Spinner>("Spinner_select", spinner,
+                          [](Spinner &v) { v.select(3); }));
+
+    // The ProgressBar family.
+    const auto bar = tree<ProgressBar>(plain<ProgressBar>(),
+                                       [](ProgressBar &v) { v.setProgress(10); });
+    add(onWidget<ProgressBar>("ProgressBar_setProgress", bar,
+                              [](ProgressBar &v) { v.setProgress(20); }));
+    add(onWidget<ProgressBar>("ProgressBar_setMax", bar,
+                              [](ProgressBar &v) { v.setMax(5); }));
+    add(restoreFrom<ProgressBar>("ProgressBar_restore", bar,
+                                 [](ProgressBar &v) { v.setProgress(30); }, true));
+    add(migrateFrom<ProgressBar>("ProgressBar_applyMigration", bar,
+                                 [](ProgressBar &v) { v.setProgress(40); }));
+    const auto seek =
+        tree<SeekBar>(plain<SeekBar>(), [](SeekBar &v) { v.dragTo(10); });
+    add(onWidget<SeekBar>("SeekBar_dragTo", seek, [](SeekBar &v) { v.dragTo(60); }));
+    add(restoreFrom<SeekBar>("SeekBar_restore", seek,
+                             [](SeekBar &v) { v.dragTo(70); }, false));
+    const auto rating = tree<RatingBar>(plain<RatingBar>(),
+                                        [](RatingBar &v) { v.setRating(2); });
+    add(onWidget<RatingBar>("RatingBar_setRating", rating,
+                            [](RatingBar &v) { v.setRating(3.5); }));
+
+    // VideoView.
+    const auto video = tree<VideoView>(plain<VideoView>(), [](VideoView &v) {
+        v.setVideoUri("u");
+        v.seekTo(100);
+    });
+    add(onWidget<VideoView>("VideoView_setVideoUri", video,
+                            [](VideoView &v) { v.setVideoUri("other"); }));
+    add(onWidget<VideoView>("VideoView_start", video, [](VideoView &v) { v.start(); }));
+    add(onWidget<VideoView>("VideoView_pause", video, [](VideoView &v) {
+        v.start();
+        v.pause();
+    }));
+    add(onWidget<VideoView>("VideoView_seekTo", video,
+                            [](VideoView &v) { v.seekTo(900); }));
+    add(restoreFrom<VideoView>("VideoView_restore", video,
+                               [](VideoView &v) { v.seekTo(500); }, true));
+    add(migrateFrom<VideoView>("VideoView_applyMigration", video,
+                               [](VideoView &v) { v.start(); }));
+    return cases;
+}
+
+class SavedStateMemo
+    : public ::testing::TestWithParam<std::tuple<MemoCase, bool>>
+{
+};
+
+TEST_P(SavedStateMemo, SaveAfterMutationEqualsFreshSave)
+{
+    const MemoCase &memo_case = std::get<0>(GetParam());
+    const bool full = std::get<1>(GetParam());
+
+    std::unique_ptr<View> warm = memo_case.build();
+    Bundle before;
+    warm->saveHierarchyState(before, full, "r");
+    memo_case.mutate(*warm);
+    Bundle after;
+    warm->saveHierarchyState(after, full, "r");
+
+    std::unique_ptr<View> fresh = memo_case.build();
+    memo_case.mutate(*fresh);
+    Bundle expected;
+    fresh->saveHierarchyState(expected, full, "r");
+
+    EXPECT_TRUE(after == expected)
+        << memo_case.name << (full ? " (full)" : " (default)");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryWidgetAndMutator, SavedStateMemo,
+    ::testing::Combine(::testing::ValuesIn(memoCases()), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<MemoCase, bool>> &info) {
+        return std::get<0>(info.param).name +
+               (std::get<1>(info.param) ? "_full" : "_default");
+    });
+
+TEST(SavedStateMemo, UnchangedViewsLinkTheirMemoisedState)
+{
+    LinearLayout root("root", LinearLayout::Direction::Vertical);
+    auto &image = dynamic_cast<ImageView &>(
+        root.addChild(std::make_unique<ImageView>("i")));
+    image.setDrawable(DrawableValue{"a", 4, 4});
+    auto &edit =
+        dynamic_cast<EditText &>(root.addChild(std::make_unique<EditText>("e")));
+    edit.typeText("t");
+
+    Bundle first, second;
+    root.saveHierarchyState(first, true, "r");
+    image.setDrawable(DrawableValue{"a", 4, 4}); // equal: memo kept
+    edit.setCursorPosition(0);                   // changed: memo dropped
+    root.saveHierarchyState(second, true, "r");
+
+    using Nested = std::shared_ptr<const Bundle>;
+    EXPECT_EQ(std::get<Nested>(first.entries().at("i")),
+              std::get<Nested>(second.entries().at("i")));
+    EXPECT_NE(std::get<Nested>(first.entries().at("e")),
+              std::get<Nested>(second.entries().at("e")));
+    EXPECT_EQ(second.getBundle("e").getInt("cursor"), 0);
+}
 
 } // namespace
 } // namespace rchdroid
