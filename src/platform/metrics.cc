@@ -79,6 +79,23 @@ LogHistogram::observe(double value)
     ++buckets_[bucketIndex(value)];
 }
 
+void
+LogHistogram::merge(const LogHistogram &other)
+{
+    if (other.count_ == 0)
+        return;
+    if (count_ == 0) {
+        *this = other;
+        return;
+    }
+    min_ = std::min(min_, other.min_);
+    max_ = std::max(max_, other.max_);
+    count_ += other.count_;
+    sum_ += other.sum_;
+    for (std::size_t i = 0; i < kBucketCount; ++i)
+        buckets_[i] += other.buckets_[i];
+}
+
 std::size_t
 LogHistogram::bucketIndex(double value)
 {
@@ -173,6 +190,19 @@ MetricsRegistry::reset()
     gauges_.fill(0.0);
     histograms_.fill(LogHistogram{});
     labeled_.clear();
+}
+
+void
+MetricsRegistry::merge(const MetricsRegistry &other)
+{
+    for (std::size_t i = 0; i < counters_.size(); ++i)
+        counters_[i] += other.counters_[i];
+    for (std::size_t i = 0; i < gauges_.size(); ++i)
+        gauges_[i] += other.gauges_[i];
+    for (std::size_t i = 0; i < histograms_.size(); ++i)
+        histograms_[i].merge(other.histograms_[i]);
+    for (const auto &[key, n] : other.labeled_)
+        labeled_[key] += n;
 }
 
 namespace {

@@ -93,6 +93,8 @@ class LogHistogram
         1 + static_cast<std::size_t>(kOctaves) * kSubBuckets;
 
     void observe(double value);
+    /** Add another histogram's samples, as if observed here. */
+    void merge(const LogHistogram &other);
 
     std::uint64_t count() const { return count_; }
     double sum() const { return sum_; }
@@ -164,6 +166,13 @@ class MetricsRegistry
     }
 
     void reset();
+    /**
+     * Add another registry's contents: counters, labels and histograms
+     * as if recorded here, and gauges summed. Merging per-device
+     * registries gives a run-wide registry whose gauges are totals over
+     * the devices.
+     */
+    void merge(const MetricsRegistry &other);
 
     /** dumpsys-style pretty print (zero-valued slots elided). */
     std::string toText() const;

@@ -24,28 +24,6 @@ recordStateName(RecordState state)
     return "Unknown";
 }
 
-/** Sample the point-in-time gauges from the live system. */
-void
-sampleGauges(AndroidSystem &system, metrics::MetricsRegistry *registry)
-{
-    if (!registry)
-        return;
-    std::size_t activities = 0;
-    std::size_t heap = 0;
-    std::size_t pending = system.atms().looper().queuedMessages();
-    for (const auto &[process, app] : system.installedApps()) {
-        (void)process;
-        activities += app->thread->liveActivityCount();
-        heap += app->thread->totalHeapBytes();
-        pending += app->thread->uiLooper().queuedMessages();
-    }
-    registry->set(metrics::Gauge::kLiveActivities,
-                  static_cast<double>(activities));
-    registry->set(metrics::Gauge::kHeapBytes, static_cast<double>(heap));
-    registry->set(metrics::Gauge::kPendingMessages,
-                  static_cast<double>(pending));
-}
-
 /**
  * Critical paths for this system's completed episodes, keyed by episode
  * index, when a tracer is live. The tracer may span several sequential
@@ -214,32 +192,63 @@ dumpsys(AndroidSystem &system, metrics::MetricsRegistry *registry)
     return os.str();
 }
 
-std::string
-metricsJson(AndroidSystem &system, metrics::MetricsRegistry *registry)
+void
+sampleGauges(AndroidSystem &system, metrics::MetricsRegistry *registry)
 {
-    sampleGauges(system, registry);
     if (!registry)
-        return "{}\n";
-    std::string json = registry->toJson();
-    const std::map<std::size_t, profiling::CriticalPath> paths =
-        matchedCriticalPaths(system);
+        return;
+    std::size_t activities = 0;
+    std::size_t heap = 0;
+    std::size_t pending = system.atms().looper().queuedMessages();
+    for (const auto &[process, app] : system.installedApps()) {
+        (void)process;
+        activities += app->thread->liveActivityCount();
+        heap += app->thread->totalHeapBytes();
+        pending += app->thread->uiLooper().queuedMessages();
+    }
+    registry->set(metrics::Gauge::kLiveActivities,
+                  static_cast<double>(activities));
+    registry->set(metrics::Gauge::kHeapBytes, static_cast<double>(heap));
+    registry->set(metrics::Gauge::kPendingMessages,
+                  static_cast<double>(pending));
+}
+
+std::vector<profiling::CriticalPath>
+episodeCriticalPaths(AndroidSystem &system)
+{
+    std::vector<profiling::CriticalPath> out;
+    for (auto &[index, path] : matchedCriticalPaths(system)) {
+        (void)index;
+        out.push_back(std::move(path));
+    }
+    return out;
+}
+
+std::string
+metricsJson(const metrics::MetricsRegistry &registry,
+            const std::vector<profiling::CriticalPath> &paths)
+{
+    std::string json = registry.toJson();
     if (!paths.empty()) {
-        std::vector<profiling::CriticalPath> matched;
-        matched.reserve(paths.size());
-        for (const auto &[index, path] : paths) {
-            (void)index;
-            matched.push_back(path);
-        }
         // Splice a "profile" member before the document's closing brace.
         const std::size_t pos = json.rfind("\n}");
         if (pos != std::string::npos) {
             json.insert(pos,
                         ",\n  \"profile\": " +
                             profiling::summaryJson(
-                                profiling::summarize(matched), 2));
+                                profiling::summarize(paths), 2));
         }
     }
     return json;
+}
+
+std::string
+metricsJson(AndroidSystem &system, metrics::MetricsRegistry *registry)
+{
+    sampleGauges(system, registry);
+    if (!registry)
+        return "{}\n";
+    return metricsJson(*registry, episodeCriticalPaths(system));
 }
 
 } // namespace rchdroid::sim

@@ -10,8 +10,10 @@
 #define RCHDROID_SIM_DUMPSYS_H
 
 #include <string>
+#include <vector>
 
 #include "platform/metrics.h"
+#include "profiling/critical_path.h"
 #include "sim/android_system.h"
 
 namespace rchdroid::sim {
@@ -32,6 +34,26 @@ std::string dumpsys(AndroidSystem &system,
 std::string metricsJson(AndroidSystem &system,
                         metrics::MetricsRegistry *registry =
                             metrics::MetricsRegistry::current());
+
+/** Sample the point-in-time gauges (live activities, heap, pending
+ *  messages) of the live system into `registry` (may be null). */
+void sampleGauges(AndroidSystem &system, metrics::MetricsRegistry *registry);
+
+/**
+ * Critical paths of this system's completed episodes, in episode order,
+ * when a tracer is live (empty otherwise). The tracer may span several
+ * sequential systems; only this system's episodes are returned.
+ */
+std::vector<profiling::CriticalPath> episodeCriticalPaths(AndroidSystem &system);
+
+/**
+ * A metrics document from a registry and the critical paths of the
+ * episodes it counted: the registry's JSON, plus a "profile" member
+ * summarising `paths` when there are any. The caller keeps the two
+ * over the same device set.
+ */
+std::string metricsJson(const metrics::MetricsRegistry &registry,
+                        const std::vector<profiling::CriticalPath> &paths);
 
 } // namespace rchdroid::sim
 

@@ -106,6 +106,45 @@ TEST(MetricsRegistry, CountersGaugesAndLabels)
     EXPECT_TRUE(registry.labeledCounters().empty());
 }
 
+TEST(MetricsRegistry, MergeRecordsAsIfObservedHereAndSumsGauges)
+{
+    MetricsRegistry first, second, whole;
+    for (double v : {3.0, 90.0, 0.5}) {
+        first.observe(Histogram::kHandlingMs, v);
+        whole.observe(Histogram::kHandlingMs, v);
+    }
+    for (double v : {160.0, 7.0}) {
+        second.observe(Histogram::kHandlingMs, v);
+        whole.observe(Histogram::kHandlingMs, v);
+    }
+    first.add(Counter::kConfigChanges, 2);
+    second.add(Counter::kConfigChanges, 3);
+    first.addLabeled(Counter::kViewsMigrated, "ImageView", 4);
+    second.addLabeled(Counter::kViewsMigrated, "ImageView", 1);
+    second.addLabeled(Counter::kViewsMigrated, "TextView", 2);
+    first.set(Gauge::kLiveActivities, 1.0);
+    second.set(Gauge::kLiveActivities, 2.0);
+
+    MetricsRegistry merged;
+    merged.merge(first);
+    merged.merge(second);
+    EXPECT_EQ(merged.counter(Counter::kConfigChanges), 5u);
+    EXPECT_EQ(merged.counter(Counter::kViewsMigrated), 7u);
+    EXPECT_EQ(merged.labeled(Counter::kViewsMigrated, "ImageView"), 5u);
+    EXPECT_EQ(merged.labeled(Counter::kViewsMigrated, "TextView"), 2u);
+    EXPECT_DOUBLE_EQ(merged.gauge(Gauge::kLiveActivities), 3.0);
+
+    const LogHistogram &got = merged.histogram(Histogram::kHandlingMs);
+    const LogHistogram &want = whole.histogram(Histogram::kHandlingMs);
+    EXPECT_EQ(got.count(), want.count());
+    EXPECT_DOUBLE_EQ(got.sum(), want.sum());
+    EXPECT_DOUBLE_EQ(got.min(), want.min());
+    EXPECT_DOUBLE_EQ(got.max(), want.max());
+    EXPECT_EQ(got.buckets(), want.buckets());
+    for (double p : {50.0, 95.0, 99.0})
+        EXPECT_DOUBLE_EQ(got.percentile(p), want.percentile(p));
+}
+
 TEST(MetricsRegistry, TextAndJsonRenderings)
 {
     MetricsRegistry registry;
