@@ -27,9 +27,16 @@ ProgressBar::setMax(int max)
 {
     requireAlive("setMax");
     RCH_ASSERT(max > 0, "max must be positive");
+    // Flip sync re-stores the same bound on every coin flip: that
+    // redraws, but leaves the saved state as it was.
+    const int progress = std::min(progress_, max);
+    const bool unchanged = max == max_ && progress == progress_;
     max_ = max;
-    progress_ = std::min(progress_, max_);
-    invalidate();
+    progress_ = progress;
+    if (unchanged)
+        invalidateUnchanged();
+    else
+        invalidate();
 }
 
 void

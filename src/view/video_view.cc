@@ -27,16 +27,24 @@ VideoView::start()
 {
     requireAlive("start");
     RCH_ASSERT(!video_uri_.empty(), "start without a video URI");
+    const bool unchanged = playing_;
     playing_ = true;
-    invalidate();
+    if (unchanged)
+        invalidateUnchanged();
+    else
+        invalidate();
 }
 
 void
 VideoView::pause()
 {
     requireAlive("pause");
+    const bool unchanged = !playing_;
     playing_ = false;
-    invalidate();
+    if (unchanged)
+        invalidateUnchanged();
+    else
+        invalidate();
 }
 
 void
@@ -44,8 +52,14 @@ VideoView::seekTo(std::int64_t position_ms)
 {
     requireAlive("seekTo");
     RCH_ASSERT(position_ms >= 0, "negative seek");
+    // Flip sync re-seeks to the held position on every coin flip: that
+    // redraws, but leaves the saved state as it was.
+    const bool unchanged = position_ms == position_ms_;
     position_ms_ = position_ms;
-    invalidate();
+    if (unchanged)
+        invalidateUnchanged();
+    else
+        invalidate();
 }
 
 void

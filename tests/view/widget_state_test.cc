@@ -382,7 +382,16 @@ struct MemoCase
     /** A root LinearLayout holding one set-up widget with id "w". */
     std::function<std::unique_ptr<View>()> build;
     std::function<void(View &root)> mutate;
+    /** The mutation re-stores held values, so the memo must survive it. */
+    bool keeps_memo = false;
 };
+
+MemoCase
+keepsMemo(MemoCase memo_case)
+{
+    memo_case.keeps_memo = true;
+    return memo_case;
+}
 
 void
 PrintTo(const MemoCase &memo_case, std::ostream *os)
@@ -506,8 +515,8 @@ memoCases()
         tree<ScrollView>(plain<ScrollView>(), [](ScrollView &v) { v.scrollTo(5); });
     add(onWidget<ScrollView>("ScrollView_scrollTo", scroll,
                              [](ScrollView &v) { v.scrollTo(9); }));
-    add(onWidget<ScrollView>("ScrollView_scrollToEqual", scroll,
-                             [](ScrollView &v) { v.scrollTo(5); }));
+    add(keepsMemo(onWidget<ScrollView>("ScrollView_scrollToEqual", scroll,
+                                       [](ScrollView &v) { v.scrollTo(5); })));
     add(restoreFrom<ScrollView>("ScrollView_restore", scroll,
                                 [](ScrollView &v) { v.scrollTo(40); }, false));
 
@@ -518,8 +527,8 @@ memoCases()
         plain<TextView>(), [](TextView &v) { v.setTextFromResource("r"); });
     add(onWidget<TextView>("TextView_setText", text,
                            [](TextView &v) { v.setText("b"); }));
-    add(onWidget<TextView>("TextView_setTextEqual", text,
-                           [](TextView &v) { v.setText("a"); }));
+    add(keepsMemo(onWidget<TextView>("TextView_setTextEqual", text,
+                                     [](TextView &v) { v.setText("a"); })));
     add(onWidget<TextView>("TextView_setTextFromResource", text,
                            [](TextView &v) { v.setTextFromResource("r"); }));
     add(onWidget<TextView>("TextView_setTextOverEqualResource", res_text,
@@ -532,7 +541,8 @@ memoCases()
                               [](TextView &v) { v.setText("z"); }, true));
     add(migrateFrom<TextView>("TextView_applyMigration", text,
                               [](TextView &v) { v.setText("m"); }));
-    add(migrateFrom<TextView>("TextView_applyMigrationEqual", text, noop));
+    add(keepsMemo(
+        migrateFrom<TextView>("TextView_applyMigrationEqual", text, noop)));
     const auto button =
         tree<Button>(plain<Button>(), [](Button &v) { v.setText("go"); });
     add(onWidget<Button>("Button_setOnClickListener", button, [](Button &v) {
@@ -549,12 +559,12 @@ memoCases()
     });
     add(onWidget<EditText>("EditText_setCursorPosition", edit,
                            [](EditText &v) { v.setCursorPosition(3); }));
-    add(onWidget<EditText>("EditText_setCursorPositionEqual", edit,
-                           [](EditText &v) { v.setCursorPosition(1); }));
+    add(keepsMemo(onWidget<EditText>("EditText_setCursorPositionEqual", edit,
+                                     [](EditText &v) { v.setCursorPosition(1); })));
     add(onWidget<EditText>("EditText_typeText", edit,
                            [](EditText &v) { v.typeText("xy"); }));
-    add(onWidget<EditText>("EditText_typeNothing", edit,
-                           [](EditText &v) { v.typeText(""); }));
+    add(keepsMemo(onWidget<EditText>("EditText_typeNothing", edit,
+                                     [](EditText &v) { v.typeText(""); })));
     add(onWidget<EditText>("EditText_setText", edit,
                            [](EditText &v) { v.setText("new"); }));
     add(onWidget<EditText>("EditText_setHint", edit,
@@ -583,9 +593,9 @@ memoCases()
     const auto res_image = tree<ImageView>(plain<ImageView>(), [](ImageView &v) {
         v.setDrawableFromResource(DrawableValue{"a", 4, 4});
     });
-    add(onWidget<ImageView>("ImageView_setDrawableEqual", image, [](ImageView &v) {
-        v.setDrawable(DrawableValue{"a", 4, 4});
-    }));
+    add(keepsMemo(onWidget<ImageView>(
+        "ImageView_setDrawableEqual", image,
+        [](ImageView &v) { v.setDrawable(DrawableValue{"a", 4, 4}); })));
     add(onWidget<ImageView>("ImageView_setDrawableOtherAsset", image,
                             [](ImageView &v) {
                                 v.setDrawable(DrawableValue{"b", 4, 4});
@@ -610,7 +620,8 @@ memoCases()
     add(migrateFrom<ImageView>("ImageView_applyMigration", image, [](ImageView &v) {
         v.setDrawable(DrawableValue{"m", 4, 4});
     }));
-    add(migrateFrom<ImageView>("ImageView_applyMigrationEqual", image, noop));
+    add(keepsMemo(
+        migrateFrom<ImageView>("ImageView_applyMigrationEqual", image, noop)));
 
     // The AbsListView family.
     const auto fill = [](AbsListView &v) {
@@ -658,9 +669,16 @@ memoCases()
                                  [](ProgressBar &v) { v.setProgress(30); }, true));
     add(migrateFrom<ProgressBar>("ProgressBar_applyMigration", bar,
                                  [](ProgressBar &v) { v.setProgress(40); }));
+    // Flip sync re-stores the held bound on every coin flip.
+    add(keepsMemo(onWidget<ProgressBar>("ProgressBar_setMaxEqual", bar,
+                                        [](ProgressBar &v) { v.setMax(100); })));
+    add(keepsMemo(migrateFrom<ProgressBar>("ProgressBar_applyMigrationEqual",
+                                           bar, noop)));
     const auto seek =
         tree<SeekBar>(plain<SeekBar>(), [](SeekBar &v) { v.dragTo(10); });
     add(onWidget<SeekBar>("SeekBar_dragTo", seek, [](SeekBar &v) { v.dragTo(60); }));
+    add(keepsMemo(onWidget<SeekBar>("SeekBar_setMaxEqual", seek,
+                                    [](SeekBar &v) { v.setMax(100); })));
     add(restoreFrom<SeekBar>("SeekBar_restore", seek,
                              [](SeekBar &v) { v.dragTo(70); }, false));
     const auto rating = tree<RatingBar>(plain<RatingBar>(),
@@ -686,7 +704,31 @@ memoCases()
                                [](VideoView &v) { v.seekTo(500); }, true));
     add(migrateFrom<VideoView>("VideoView_applyMigration", video,
                                [](VideoView &v) { v.start(); }));
+    // Flip sync re-seeks, and restarts a playing peer, on every coin flip.
+    const auto playing = tree<VideoView>(plain<VideoView>(), [](VideoView &v) {
+        v.setVideoUri("u");
+        v.seekTo(100);
+        v.start();
+    });
+    add(keepsMemo(onWidget<VideoView>("VideoView_seekToEqual", video,
+                                      [](VideoView &v) { v.seekTo(100); })));
+    add(keepsMemo(onWidget<VideoView>("VideoView_startWhilePlaying", playing,
+                                      [](VideoView &v) { v.start(); })));
+    add(keepsMemo(onWidget<VideoView>("VideoView_pauseWhilePaused", video,
+                                      [](VideoView &v) { v.pause(); })));
+    add(keepsMemo(
+        migrateFrom<VideoView>("VideoView_applyMigrationEqual", playing, noop)));
     return cases;
+}
+
+/** The nested state a save linked under the widget's key, if any. */
+const Bundle *
+linkedState(const Bundle &container)
+{
+    const auto it = container.entries().find("w");
+    return it == container.entries().end()
+               ? nullptr
+               : std::get<std::shared_ptr<const Bundle>>(it->second).get();
 }
 
 class SavedStateMemo
@@ -713,6 +755,11 @@ TEST_P(SavedStateMemo, SaveAfterMutationEqualsFreshSave)
 
     EXPECT_TRUE(after == expected)
         << memo_case.name << (full ? " (full)" : " (default)");
+    if (memo_case.keeps_memo) {
+        // The second save links the very state the first one built.
+        EXPECT_EQ(linkedState(after), linkedState(before))
+            << memo_case.name << (full ? " (full)" : " (default)");
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
