@@ -95,7 +95,7 @@ Activity::performRestoreInstanceState(const Bundle &saved)
 {
     RCH_ASSERT(state_ == LifecycleState::Started,
                "restore outside Started: ", lifecycleStateName(state_));
-    const Bundle views = saved.getBundle("views");
+    const Bundle &views = saved.getBundle("views");
     const int n = window_.countViews();
     chargeCpu(context_.costs.restore_state_per_view * n);
     if (!views.empty())

@@ -106,11 +106,12 @@ Bundle::getStringVector(const std::string &key) const
     return v ? *v : std::vector<std::string>{};
 }
 
-Bundle
+const Bundle &
 Bundle::getBundle(const std::string &key) const
 {
+    static const Bundle kEmpty;
     const auto *v = lookup<std::shared_ptr<const Bundle>>(entries_, key);
-    return (v && *v) ? **v : Bundle{};
+    return (v && *v) ? **v : kEmpty;
 }
 
 bool

@@ -73,8 +73,11 @@ class Bundle
                           const std::string &fallback = {}) const;
     std::vector<std::int64_t> getIntVector(const std::string &key) const;
     std::vector<std::string> getStringVector(const std::string &key) const;
-    /** Nested bundle; empty bundle when missing. */
-    Bundle getBundle(const std::string &key) const;
+    /**
+     * Nested bundle, read in place; a shared empty bundle when missing.
+     * The reference lives as long as this bundle's entry does.
+     */
+    const Bundle &getBundle(const std::string &key) const;
     /** @} */
 
     bool contains(const std::string &key) const;
