@@ -1,14 +1,16 @@
 /**
  * @file
  * Critical-path extraction: the synthetic walk semantics (hand-built
- * event streams, no tracer needed) and the ISSUE acceptance criterion —
- * on the quickstart rotation workload every completed rch.episode is
- * reconstructed into a path whose segment latencies sum to within 1% of
- * the episode's async-span duration, live and after a JSON round-trip.
+ * event streams, no tracer needed); on the quickstart rotation workload
+ * every completed rch.episode is reconstructed into a path whose segment
+ * latencies sum to within 1% of the episode's async-span duration, live
+ * and after a JSON round-trip; and the exact per-segment profile of 20
+ * Benchmark8 rotations, the virtual-time gate on the mechanism's cost.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -248,6 +250,70 @@ TEST(CriticalPath, JsonRoundTripYieldsIdenticalPaths)
             EXPECT_EQ(b.begin, a.begin);
             EXPECT_EQ(b.end, a.end);
         }
+    }
+}
+
+// Virtual time is the same on every host, so the per-segment split of
+// an episode is pinned exactly: 20 RCHDroid rotations of Benchmark8, a
+// second apart. The first rotation launches the sunny instance; the 19
+// after it coin-flip back to the shadow, and their flip sync dominates.
+TEST(CriticalPath, Benchmark8RotationProfileIsPinned)
+{
+    trace::Tracer tracer;
+    trace::ScopedTracer tracer_guard(&tracer);
+    sim::SystemOptions options;
+    options.mode = RuntimeChangeMode::RchDroid;
+    sim::AndroidSystem system(options);
+    const auto spec = apps::makeBenchmarkApp(8);
+    system.install(spec);
+    system.launch(spec);
+    for (int i = 0; i < 20; ++i) {
+        system.rotate();
+        ASSERT_TRUE(system.waitHandlingComplete());
+        system.runFor(seconds(1));
+    }
+
+    const ProfileSummary summary =
+        summarize(extractCriticalPaths(fromTracer(tracer)));
+    EXPECT_EQ(summary.episodes, 20u);
+    EXPECT_DOUBLE_EQ(summary.mean_total_ms, 93.8057);
+
+    struct Expected
+    {
+        const char *label;
+        SegmentKind kind;
+        double mean_ms;
+        std::uint64_t episodes;
+    };
+    const Expected expected[] = {
+        {"app.performLaunch@com.eval.Benchmark8.main", SegmentKind::kLaunch,
+         5.9493, 1},
+        {"idle@trigger", SegmentKind::kIdle, 0.02, 1},
+        {"queue-wait@com.eval.Benchmark8.main", SegmentKind::kQueueWait, 2.0,
+         20},
+        {"queue-wait@system_server.atms", SegmentKind::kQueueWait, 2.0, 20},
+        {"rch.buildMapping@com.eval.Benchmark8.main", SegmentKind::kMigration,
+         0.312, 1},
+        {"rch.coinFlip@system_server.atms", SegmentKind::kDispatch, 2.709, 20},
+        {"rch.flipSync@com.eval.Benchmark8.main", SegmentKind::kMigration,
+         61.1154, 19},
+        {"rch.shadowDemotion@com.eval.Benchmark8.main",
+         SegmentKind::kMigration, 2.8, 20},
+        {"scheduleConfigurationChanged@com.eval.Benchmark8.main",
+         SegmentKind::kDispatch, 0.4, 20},
+        {"scheduleLaunchActivity@com.eval.Benchmark8.main",
+         SegmentKind::kLaunch, 0.4, 20},
+        {"startActivity@system_server.atms", SegmentKind::kDispatch, 13.3, 20},
+        {"updateConfiguration@system_server.atms", SegmentKind::kDispatch, 2.8,
+         20},
+    };
+    ASSERT_EQ(summary.segments.size(), std::size(expected));
+    for (const Expected &segment : expected) {
+        const auto it = summary.segments.find(segment.label);
+        ASSERT_NE(it, summary.segments.end()) << segment.label;
+        EXPECT_EQ(it->second.kind, segment.kind) << segment.label;
+        EXPECT_DOUBLE_EQ(it->second.mean_ms, segment.mean_ms) << segment.label;
+        EXPECT_EQ(it->second.episodes, segment.episodes) << segment.label;
     }
 }
 
